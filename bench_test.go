@@ -188,6 +188,22 @@ func BenchmarkRIPSQueens(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupApp measures the registry's hit path — what every
+// ripsd submission and cluster attach pays to resolve an app that is
+// already built: a lock, a map lookup and an LRU touch, no allocation.
+func BenchmarkLookupApp(b *testing.B) {
+	if _, err := rips.LookupApp("nq", 10); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rips.LookupApp("nq", 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSequentialProfile measures app.Measure itself on the
 // 12-queens search (real computation, no simulation).
 func BenchmarkSequentialProfile(b *testing.B) {

@@ -96,6 +96,7 @@ import (
 	"runtime"
 	"time"
 
+	"rips"
 	"rips/internal/apps/nqueens"
 	"rips/internal/difftest"
 	"rips/internal/exp"
@@ -344,7 +345,7 @@ func parscale(args []string) error {
 			*size = 10
 		}
 	}
-	a, err := exp.ParScaleApp(*family, *size)
+	a, err := rips.LookupApp(*family, *size)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rips"
-	"rips/internal/exp"
 )
 
 // runCmd is the single-run front door over the public API — the CLI
@@ -43,7 +42,7 @@ func runCmd(args []string) error {
 		return err
 	}
 
-	a, err := exp.ParScaleApp(*family, *size)
+	a, err := rips.LookupApp(*family, *size)
 	if err != nil {
 		return err
 	}

@@ -60,6 +60,7 @@ func (n *Node) coordinate(ctx context.Context, spec rips.JobSpec) (Result, error
 		mirror:  mirror,
 		events:  make(chan coordEvent, 4*k),
 		loads:   make([]int, k),
+		seen:    make([]bool, k),
 		start:   time.Now(),
 	}
 	defer c.closeAll()
@@ -109,6 +110,7 @@ type coordRun struct {
 	peers   []*peer
 	events  chan coordEvent
 	loads   []int
+	seen    []bool // members heard from in the collection under way
 	start   time.Time
 
 	res    Result
@@ -225,7 +227,7 @@ func (c *coordRun) phase(ctx context.Context) int {
 
 // collectLoads gathers one fLoads per member into c.loads.
 func (c *coordRun) collectLoads(ctx context.Context) int {
-	seen := make([]bool, len(c.members))
+	clear(c.seen)
 	pending := len(c.members)
 	for pending > 0 {
 		ev, lost := c.next(ctx)
@@ -237,10 +239,10 @@ func (c *coordRun) collectLoads(ctx context.Context) int {
 			continue
 		case fLoads:
 			m, err := decodeLoads(ev.f.payload)
-			if err != nil || seen[ev.member] {
+			if err != nil || c.seen[ev.member] {
 				return ev.member
 			}
-			seen[ev.member] = true
+			c.seen[ev.member] = true
 			c.loads[ev.member] = m.Load
 			pending--
 		default:
@@ -351,7 +353,7 @@ func (c *coordRun) finish(ctx context.Context) (Result, error) {
 	if lost := c.broadcast(fFinish, encodeJob(c.job)); lost != -1 {
 		return c.abandonOrTimeout(ctx, lost)
 	}
-	seen := make([]bool, len(c.members))
+	clear(c.seen)
 	pending := len(c.members)
 	for pending > 0 {
 		ev, lost := c.next(ctx)
@@ -360,7 +362,7 @@ func (c *coordRun) finish(ctx context.Context) (Result, error) {
 			// moment it sends its counters, so a death event from a
 			// member already counted is the normal end of its session,
 			// not a lost node.
-			if lost >= 0 && lost < len(seen) && seen[lost] {
+			if lost >= 0 && lost < len(c.seen) && c.seen[lost] {
 				continue
 			}
 			return c.abandonOrTimeout(ctx, lost)
@@ -369,10 +371,10 @@ func (c *coordRun) finish(ctx context.Context) (Result, error) {
 			return c.protocolError(ev)
 		}
 		m, err := decodeCounters(ev.f.payload)
-		if err != nil || seen[ev.member] {
+		if err != nil || c.seen[ev.member] {
 			return c.abandonOrTimeout(ctx, ev.member)
 		}
-		seen[ev.member] = true
+		c.seen[ev.member] = true
 		c.res.Generated += m.Generated
 		c.res.Executed += m.Executed
 		c.res.Nonlocal += m.Nonlocal

@@ -49,10 +49,23 @@ type memberRun struct {
 	idx   int // this member's index
 	q     task.Queue
 	seq   uint64
+	emit  func(app.Spawn) // m.spawn, bound once by run: no closure per task
 
 	generated, executed, nonlocal, appResult int64
 	vwork                                    sim.Time
 	busy                                     time.Duration
+	yielded                                  time.Duration // busy at the last yield
+}
+
+// yieldSlice is how long a member executes tasks between yields of
+// its processor (see execute).
+const yieldSlice = 100 * time.Microsecond
+
+// spawn queues one task born on this member: a staged root, or a
+// child emitted by a task it executes.
+func (m *memberRun) spawn(sp app.Spawn) {
+	m.q.PushBack(task.Task{ID: m.newID(), Origin: m.idx, Size: sp.Size, Data: sp.Data})
+	m.generated++
 }
 
 // newID mints a task ID unique across the job: member index in the
@@ -75,12 +88,12 @@ func (m *memberRun) stage(round int) {
 		lo, hi = 0, 0
 	}
 	for _, sp := range roots[lo:hi] {
-		m.q.PushBack(task.Task{ID: m.newID(), Origin: m.idx, Size: sp.Size, Data: sp.Data})
+		m.spawn(sp)
 	}
-	m.generated += int64(hi - lo)
 }
 
 func (m *memberRun) run() {
+	m.emit = m.spawn
 	m.stage(0)
 	if m.p.send(fAttachOK, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
 		return
@@ -134,14 +147,6 @@ func (m *memberRun) run() {
 		}
 		idle = 0
 		m.execute(t)
-		// Yield between tasks. The execute loop's only channel
-		// operation is a nonblocking tryRecv, so on a single-P runtime
-		// (GOMAXPROCS=1, or a node oversubscribed with sessions) it
-		// would otherwise hold the processor for a full preemption
-		// quantum (~10ms) — long enough to starve this member's own
-		// peer reader and the coordinator, serializing the whole job
-		// onto whichever member got work first.
-		runtime.Gosched()
 	}
 }
 
@@ -267,18 +272,28 @@ func (m *memberRun) pausedLoop() bool {
 	}
 }
 
-// execute runs one task, spawning children into the local queue.
+// execute runs one task, spawning children into the local queue, and
+// yields the processor once per yieldSlice of execution. The run
+// loop's only channel operation is a nonblocking tryRecv, so on a
+// single-P runtime (GOMAXPROCS=1, or a node oversubscribed with
+// sessions) it would otherwise hold the processor for a full
+// preemption quantum (~10ms) — long enough to starve this member's own
+// peer reader and the coordinator, serializing the whole job onto
+// whichever member got work first. The slice is counted in the busy
+// time measured here anyway: microsecond tasks pay no scheduler call
+// and no extra clock read each.
 func (m *memberRun) execute(t task.Task) {
 	start := time.Now()
-	w, res := app.ExecuteCount(m.app, t.Data, func(sp app.Spawn) {
-		m.q.PushBack(task.Task{ID: m.newID(), Origin: m.idx, Size: sp.Size, Data: sp.Data})
-		m.generated++
-	})
+	w, res := app.ExecuteCount(m.app, t.Data, m.emit)
 	m.busy += time.Since(start)
 	m.executed++
 	m.vwork += w
 	m.appResult += res
 	if t.Origin != m.idx {
 		m.nonlocal++
+	}
+	if m.busy-m.yielded >= yieldSlice {
+		m.yielded = m.busy
+		runtime.Gosched()
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"rips"
 	"rips/internal/app"
 	"rips/internal/metrics"
 	"rips/internal/par"
@@ -25,22 +24,6 @@ import (
 // small factor of the best dynamic scheduler is re-tested on actual
 // cores, and the hybrid column shows where the hierarchy beats both
 // pure strategies.
-
-// ParScaleApp resolves a workload for the scaling experiment by family
-// name: "nq" is highly parallel uniform search (size = board, 0 means
-// 13), "ida" is irregular iterative deepening with wildly varying
-// round sizes (size = paper configuration 1..3, 0 means 1), and
-// "gromos" is the static near-uniform pair-list computation (size =
-// cutoff radius in angstroms, 0 means 8). The three families stress
-// the scheduler in the three ways the paper's taxonomy distinguishes,
-// so their curves are directly comparable.
-//
-// The registry this name vocabulary introduced is public now —
-// rips.RegisterApp/rips.LookupApp/rips.Apps — and ParScaleApp is a
-// thin forwarding shim kept for its internal callers.
-func ParScaleApp(family string, size int) (app.App, error) {
-	return rips.LookupApp(family, size)
-}
 
 // ParScalePoint is one worker count of the scaling curve.
 type ParScalePoint struct {

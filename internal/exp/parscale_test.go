@@ -89,42 +89,6 @@ func TestParScale(t *testing.T) {
 	}
 }
 
-// TestParScaleApp pins the family names and size validation of the
-// Table I workload contrast.
-func TestParScaleApp(t *testing.T) {
-	for _, c := range []struct {
-		family string
-		size   int
-		name   string
-	}{
-		{"nq", 0, "13-queens"},
-		{"nq", 9, "9-queens"},
-		{"ida", 0, "15-puzzle #1"},
-		{"ida", 2, "15-puzzle #2"},
-		{"gromos", 0, "gromos 8A"},
-		{"gromos", 12, "gromos 12A"},
-	} {
-		a, err := ParScaleApp(c.family, c.size)
-		if err != nil {
-			t.Errorf("ParScaleApp(%q, %d): %v", c.family, c.size, err)
-			continue
-		}
-		if a.Name() != c.name {
-			t.Errorf("ParScaleApp(%q, %d).Name() = %q, want %q", c.family, c.size, a.Name(), c.name)
-		}
-	}
-	for _, c := range []struct {
-		family string
-		size   int
-	}{
-		{"nq", 3}, {"ida", 4}, {"ida", -1}, {"gromos", -8}, {"chess", 0},
-	} {
-		if _, err := ParScaleApp(c.family, c.size); err == nil {
-			t.Errorf("ParScaleApp(%q, %d) succeeded, want error", c.family, c.size)
-		}
-	}
-}
-
 // TestWriteParScaleJSON round-trips the BENCH_par.json document: the
 // schema tag, the environment fields, and the flattened point values
 // must survive encoding.

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"rips"
-	"rips/internal/exp"
 )
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -114,7 +113,7 @@ func TestServeMatchesDirectRun(t *testing.T) {
 		}
 
 		// Re-run the same workload directly through the public API.
-		a, err := exp.ParScaleApp(specs[i].App, specs[i].Size)
+		a, err := rips.LookupApp(specs[i].App, specs[i].Size)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rips"
+	"rips/internal/apps/nqueens"
 	"rips/internal/tenant"
 )
 
@@ -155,14 +158,26 @@ func TestServePerTenantQueueLimit(t *testing.T) {
 	}
 }
 
+// familySeq keeps a registered test family's name unique across
+// -count reruns (the registry refuses duplicates).
+var familySeq atomic.Int64
+
 // TestServeResultCache checks an identical resubmission settles from
 // the cache without running: instant done, CacheHit set, no phases,
 // and the same answer. The key is the resolved config, so a spec that
-// spells the defaults differently still hits.
+// spells the defaults differently still hits. The workload is a
+// counting family: resolving a submission — hit or miss — must build
+// its app once per size, not once per POST.
 func TestServeResultCache(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 4})
+	var builds atomic.Int64
+	family := fmt.Sprintf("%s#%d", t.Name(), familySeq.Add(1))
+	rips.RegisterApp(family, func(size int) (rips.App, error) {
+		builds.Add(1)
+		return nqueens.New(size, 4), nil
+	})
 
-	first, err := s.Submit(JobSpec{App: "nq", Size: 9,
+	first, err := s.Submit(JobSpec{App: family, Size: 9,
 		Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +192,7 @@ func TestServeResultCache(t *testing.T) {
 
 	// Same workload, defaults spelled implicitly: backend omitted
 	// resolves to parallel, so the canonical key matches.
-	second, err := s.Submit(JobSpec{App: "nq", Size: 9,
+	second, err := s.Submit(JobSpec{App: family, Size: 9,
 		Config: rips.ConfigJSON{Procs: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +209,7 @@ func TestServeResultCache(t *testing.T) {
 	}
 
 	// A different size must miss.
-	third, err := s.Submit(JobSpec{App: "nq", Size: 8,
+	third, err := s.Submit(JobSpec{App: family, Size: 8,
 		Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +218,9 @@ func TestServeResultCache(t *testing.T) {
 		t.Error("different size hit the cache")
 	}
 
+	if got := builds.Load(); got != 2 {
+		t.Errorf("the builder ran %d times for submissions of sizes 9, 9 and 8, want once per size", got)
+	}
 	_, cache, _ := s.Stats()
 	if cache.Hits == 0 || cache.Entries == 0 {
 		t.Errorf("cache stats %+v, want hits and entries > 0", cache)
