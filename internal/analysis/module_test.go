@@ -64,12 +64,13 @@ func TestHotpathCoverage(t *testing.T) {
 		"par.(*ripsRun).workerMain",
 		"par.(*ripsRun).phaseStep",
 		"par.(*ripsRun).userPhase",
-		"par.(*ripsRun).initiate",
-		"par.(*ripsRun).detectWait",
+		"par.(*detector).await",
+		"par.(*detector).requested",
+		"par.(*detector).current",
 		"par.(*ripsRun).execute",
 		"par.(*ripsRun).beginPhase",
 		"par.(*ripsRun).finishPhase",
-		"par.(*ripsRun).updateDetector",
+		"par.(*detector).update",
 		"par.(*ripsRun).stageMoves",
 		"par.(*ripsRun).partitionWaves",
 		"par.(*ripsRun).waveRange",
@@ -85,6 +86,8 @@ func TestHotpathCoverage(t *testing.T) {
 		"task.(*Queue).TakeBackInto",
 		"task.(*Queue).Len",
 		"task.(*Queue).maybeCompact",
+		"task.(*Queue).grow",
+		"task.(*Queue).compact",
 		"invariant.Enabled",
 		"invariant.Conserved",
 		"invariant.BalancedWithinOne",

@@ -2,6 +2,7 @@ package par
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,33 +173,29 @@ func TestApplyModesAgree(t *testing.T) {
 // to the cap, productive phases fall back to the base, and the
 // constant/disabled Config overrides bypass adaptation entirely.
 func TestAdaptiveDetector(t *testing.T) {
-	cfg := &Config{}
-	r := &ripsRun{cfg: cfg, n: 64, det: newDetector(cfg)}
+	const n = 64
+	var cancel atomic.Bool
+	d := newDetector(&Config{}, n, &cancel)
 	for i := 0; i < 64; i++ {
-		r.phaseMoved = 0
-		r.updateDetector()
+		d.update(0, n)
 	}
-	if want := adaptMaxFactor * DefaultDetectInterval; r.det.wait != want {
-		t.Errorf("starved detector wait = %v, want cap %v", r.det.wait, want)
+	if want := adaptMaxFactor * DefaultDetectInterval; d.wait != want {
+		t.Errorf("starved detector wait = %v, want cap %v", d.wait, want)
 	}
 	for i := 0; i < 64; i++ {
-		r.phaseMoved = 8 * r.n
-		r.updateDetector()
+		d.update(8*n, n)
 	}
-	if r.det.wait != DefaultDetectInterval {
-		t.Errorf("productive detector wait = %v, want base %v", r.det.wait, DefaultDetectInterval)
+	if d.wait != DefaultDetectInterval {
+		t.Errorf("productive detector wait = %v, want base %v", d.wait, DefaultDetectInterval)
 	}
 
-	ccfg := &Config{DetectInterval: time.Millisecond}
-	rc := &ripsRun{cfg: ccfg, n: 64, det: newDetector(ccfg)}
-	rc.phaseMoved = 0
-	rc.updateDetector()
-	if got := rc.detectWait(); got != time.Millisecond {
+	dc := newDetector(&Config{DetectInterval: time.Millisecond}, n, &cancel)
+	dc.update(0, n)
+	if got := dc.current(); got != time.Millisecond {
 		t.Errorf("constant override wait = %v, want %v", got, time.Millisecond)
 	}
-	dcfg := &Config{DetectInterval: -1}
-	rd := &ripsRun{cfg: dcfg, n: 64, det: newDetector(dcfg)}
-	if got := rd.detectWait(); got != 0 {
+	dd := newDetector(&Config{DetectInterval: -1}, n, &cancel)
+	if got := dd.current(); got != 0 {
 		t.Errorf("disabled detector wait = %v, want 0", got)
 	}
 }

@@ -1,8 +1,11 @@
 package par
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rips/internal/app"
 	"rips/internal/sched"
@@ -217,4 +220,77 @@ func benchmarkSystemPhase(b *testing.B, cfg Config) {
 		}
 		wg.Wait()
 	}
+}
+
+// roundsApp is many rounds of one empty task each: all a run of it does
+// is cross round boundaries.
+type roundsApp struct {
+	rounds int
+	root   []app.Spawn
+}
+
+func (a *roundsApp) Name() string                          { return "rounds" }
+func (a *roundsApp) Rounds() int                           { return a.rounds }
+func (a *roundsApp) Roots(int) []app.Spawn                 { return a.root }
+func (a *roundsApp) Execute(any, func(app.Spawn)) sim.Time { return 1 }
+
+// BenchmarkRoundBoundary measures one round boundary on two workers,
+// end to end: worker 1 drains at once and waits in the detector, worker
+// 0 executes the round's only task and drains, the drained count
+// reaches two and publishes the request, both cross the barrier, the
+// leader finds a zero total and stages the next round. ns/op is ns per
+// round; IDA* pays it once per cost bound. When it took a timer tick
+// this was the whole of par_fine's idle share.
+func BenchmarkRoundBoundary(b *testing.B) {
+	cfg := Config{Topo: topo.NewMesh(1, 2), App: &roundsApp{rounds: b.N, root: []app.Spawn{{}}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Executed != int64(b.N) {
+		b.Fatalf("executed %d tasks in %d rounds", res.Executed, b.N)
+	}
+}
+
+// BenchmarkDetectorWake measures the detector's wake latency: from the
+// request for a phase being published to a worker waiting in await —
+// third of three, so neither the count nor its hour-long interval ends
+// the wait — being back in its caller. The two sides hand over through
+// atomics and yields, the way workers do; wake-ns is the latency alone,
+// ns/op includes the handshake that parks the waiter again.
+func BenchmarkDetectorWake(b *testing.B) {
+	var cancel atomic.Bool
+	d := newDetector(&Config{DetectInterval: time.Hour}, 3, &cancel)
+	var parkable, returned atomic.Int64 // phases the waiter may enter / has left
+	parkable.Store(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for phase := int64(0); phase < int64(b.N); phase++ {
+			for parkable.Load() <= phase {
+				runtime.Gosched()
+			}
+			d.await(0, phase, nil)
+			returned.Store(phase + 1)
+		}
+	}()
+	var wake time.Duration
+	b.ResetTimer()
+	for phase := int64(0); phase < int64(b.N); phase++ {
+		for d.drained.Load() != 1 {
+			runtime.Gosched()
+		}
+		start := time.Now()
+		d.req.Store(phase)
+		for returned.Load() <= phase {
+			runtime.Gosched()
+		}
+		wake += time.Since(start)
+		d.drained.Store(0) // the leader's reset, before the waiter may park again
+		parkable.Store(phase + 2)
+	}
+	<-done
+	b.ReportMetric(float64(wake.Nanoseconds())/float64(b.N), "wake-ns")
 }

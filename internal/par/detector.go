@@ -1,27 +1,63 @@
+//ripslint:allow-file wallclock the detector interval is a wall-clock deadline by definition; it shifts when phases happen, never what is computed
+
 package par
 
-import "time"
+import (
+	"runtime"
+	"sync/atomic"
+	"time"
 
-// detector is the adaptive ANY-policy transfer detector shared by the
-// RIPS and Hybrid strategies: an EWMA of tasks moved per system phase
-// scales the wait a drained worker sits out before publishing the
-// transfer request, so near-empty phases back off automatically. The
-// leader updates it inside the epoch barrier; workers read the derived
-// wait between barriers, ordered by the barrier hand-off. Only the
-// timing of phases depends on it — the computed answer never does,
-// which difftest cross-validates.
+	"rips/internal/task"
+)
+
+// detector is the ANY-policy transfer detector shared by the RIPS and
+// Hybrid strategies. A transfer is requested for user phase p by
+// publishing p in req; workers holding tasks honour it after the task
+// in hand. Two things publish it:
+//
+//   - the worker whose drain makes the drained count reach the worker
+//     count, at once: nobody is left to create work, so the round
+//     boundary (or the end of the run) is detected with no wait at all;
+//   - a drained worker whose detector interval ran out while some
+//     other worker was still busy. The interval adapts: an EWMA of
+//     tasks moved per system phase stretches it, so near-empty phases
+//     back off automatically.
+//
+// The leader resets the count and updates the EWMA inside the epoch
+// barrier; workers touch req and drained between barriers. Only the
+// timing of phases depends on any of it — the computed answer never
+// does, which difftest cross-validates.
 type detector struct {
-	cfg  *Config
-	ewma float64
-	wait time.Duration
+	cfg    *Config
+	n      int          // workers sharing the detector
+	cancel *atomic.Bool // the run's abort flag
+	ewma   float64
+	wait   time.Duration
+
+	// req is the highest user-phase index for which a transfer has been
+	// requested (-1 initially) — the phase-indexed init broadcast of the
+	// simulator runtime, with redundant initiators cancelled by a
+	// compare-and-swap instead of by message filtering.
+	req atomic.Int64
+	// drained counts the workers in the drained state of the current
+	// user phase. Under RIPS it is exact (a drained worker receives no
+	// work outside a system phase). Under Hybrid a worker that steals
+	// leaves the state again, and a count read just before it does can
+	// open one early phase — whose barrier snapshot stays the only
+	// authority on totals, so answers and conservation are untouched.
+	drained atomic.Int32
 }
 
-func newDetector(cfg *Config) detector {
-	return detector{cfg: cfg, wait: DefaultDetectInterval}
+func newDetector(cfg *Config, n int, cancel *atomic.Bool) *detector {
+	d := &detector{cfg: cfg, n: n, cancel: cancel, wait: DefaultDetectInterval}
+	d.req.Store(-1)
+	return d
 }
 
-// current is the wait to apply now: the constant Config override when
-// set, otherwise the adaptive wait derived from phase yield.
+// current is the interval to apply now: the constant Config override
+// when set, otherwise the adaptive interval derived from phase yield
+// (leader-written inside the barrier, so the read is ordered by the
+// barrier release).
 func (d *detector) current() time.Duration {
 	if d.cfg.DetectInterval != 0 {
 		return d.cfg.detectInterval()
@@ -29,22 +65,67 @@ func (d *detector) current() time.Duration {
 	return d.wait
 }
 
+// requested reports whether a transfer has been requested for phase.
+func (d *detector) requested(phase int64) bool { return d.req.Load() >= phase }
+
+// await is called by worker id once it has drained in user phase
+// phase, and returns when the phase's transfer is requested — by this
+// call if it is the one that completes the drained count, or if the
+// detector interval runs out first — or the run is canceled. While
+// some other worker is still busy it yields the processor between
+// looks at the request word, the abort flag and the clock, so each of
+// the three ends the wait within one scheduling quantum; a timer sleep
+// would round every one of them up to the kernel's ~1 ms granularity.
+// poll, when non-nil, is tried on every turn: a task it returns takes
+// the worker out of the drained state and is handed to the caller to
+// execute (Hybrid's steal sweep; nil under RIPS).
+func (d *detector) await(id int, phase int64, poll func() *task.Task) *task.Task {
+	if int(d.drained.Add(1)) < d.n {
+		interval, start := d.current(), time.Now()
+		for !d.requested(phase) && !d.cancel.Load() && time.Since(start) < interval {
+			if poll != nil {
+				//ripslint:allow hotpath poll is nil under RIPS, the strategy the zero-alloc proof covers; Hybrid's steal sweep is outside that contract
+				if t := poll(); t != nil {
+					d.drained.Add(-1)
+					return t
+				}
+			}
+			runtime.Gosched()
+		}
+	}
+	if d.cancel.Load() {
+		return nil // abort: no point requesting a transfer nobody will serve
+	}
+	// Perturbation point: delay the request so redundant initiators of
+	// the same phase really race each other.
+	perturb(id, phase)
+	for {
+		cur := d.req.Load()
+		if cur >= phase || d.req.CompareAndSwap(cur, phase) {
+			return nil // ours, or a concurrent initiator's: redundant inits cancel
+		}
+	}
+}
+
 // Adaptive-detector constants: the EWMA keeps adaptEwmaOld of its
-// history per phase, and the wait stretches from DefaultDetectInterval
-// (phases moving >= one task per party) up to adaptMaxFactor times
-// that as the moved-tasks EWMA approaches zero.
+// history per phase, and the interval stretches from
+// DefaultDetectInterval (phases moving >= one task per party) up to
+// adaptMaxFactor times that as the moved-tasks EWMA approaches zero.
 const (
 	adaptEwmaOld   = 0.75
 	adaptMaxFactor = 32
 )
 
-// update folds a finished phase's migration volume into the EWMA and
-// re-derives the adaptive wait. Phases that move little work are pure
-// overhead, so a falling EWMA backs the next request off — which
-// removes the one tuning knob the backend had (ROADMAP "Adaptive
-// DetectInterval"). parties is the count of balanced entities: workers
-// under RIPS, domains under Hybrid.
+// update closes a system phase, with the world stopped: it clears the
+// drained count for the user phase about to start, folds the finished
+// phase's migration volume into the EWMA and re-derives the adaptive
+// interval. Phases that move little work are pure overhead, so a
+// falling EWMA backs the next request off — which removes the one
+// tuning knob the backend had (ROADMAP "Adaptive DetectInterval").
+// parties is the count of balanced entities: workers under RIPS,
+// domains under Hybrid.
 func (d *detector) update(moved, parties int) {
+	d.drained.Store(0)
 	d.ewma = adaptEwmaOld*d.ewma + (1-adaptEwmaOld)*float64(moved)
 	if d.cfg.DetectInterval != 0 {
 		return // constant override or disabled: nothing to adapt

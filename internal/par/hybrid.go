@@ -41,8 +41,11 @@ type hybridWorker struct {
 	stage   []task.Task // ready to schedule (Eager local policy)
 	scratch []task.Task // children of the task in hand, reused per execute
 	emit    func(app.Spawn)
-	rng     *rand.Rand // victim rotation only; never affects the answer
-	steals  int64
+	// sweep is stealLocal bound to this worker once, so handing it to the
+	// detector as its poll on every drain allocates nothing.
+	sweep  func() *task.Task
+	rng    *rand.Rand // victim rotation only; never affects the answer
+	steals int64
 }
 
 func (w *hybridWorker) newID() uint64 {
@@ -87,10 +90,6 @@ type hybridRun struct {
 	dtopo   topo.Topology // domain-level virtual machine the planner sees
 	bar     *epochBarrier
 
-	// req is the ANY detector, identical to ripsRun.req: the highest
-	// user-phase index for which a transfer has been requested.
-	req atomic.Int64
-
 	beginFn, endFn func()
 
 	cancel atomic.Bool
@@ -125,7 +124,7 @@ type hybridRun struct {
 	moves    []applyMove
 	waveEnds []int
 
-	det detector
+	det *detector
 }
 
 // newHybridRun builds the run state — domain partition, CPU mapping,
@@ -143,10 +142,9 @@ func newHybridRun(cfg *Config) *hybridRun {
 		loads: make([]int, nd),
 		avail: make([]int, nd),
 		pend:  make([]int, nd),
-		det:   newDetector(cfg),
 		start: time.Now(),
 	}
-	r.req.Store(-1)
+	r.det = newDetector(cfg, n, &r.cancel)
 	r.beginFn = r.beginPhase
 	r.endFn = r.finishPhase
 	blocks := domainBlocks(n, nd)
@@ -167,6 +165,7 @@ func newHybridRun(cfg *Config) *hybridRun {
 			w.emit = func(sp app.Spawn) {
 				w.scratch = append(w.scratch, task.Task{ID: w.newID(), Origin: w.id, Size: sp.Size, Data: sp.Data})
 			}
+			w.sweep = func() *task.Task { return r.stealLocal(w) }
 			r.workers = append(r.workers, w)
 		}
 	}
@@ -320,7 +319,7 @@ func (r *hybridRun) userPhase(w *hybridWorker, phase int64, point *int64) {
 		if r.cancel.Load() {
 			return // abort: head straight for the phase barrier
 		}
-		if executed && r.cfg.Global == ripsrt.Any && r.req.Load() >= phase {
+		if executed && r.cfg.Global == ripsrt.Any && r.det.requested(phase) {
 			return // someone requested the transfer; one task finished since
 		}
 		t := w.d.pop()
@@ -338,7 +337,11 @@ func (r *hybridRun) userPhase(w *hybridWorker, phase int64, point *int64) {
 			if r.cfg.Global == ripsrt.All || r.cancel.Load() {
 				return // drained: the ALL local condition holds
 			}
-			if t = r.initiate(w, phase); t == nil {
+			// The detector re-sweeps the domain while it waits: mates may
+			// make new work stealable, and a successful steal resumes the
+			// user phase instead of requesting a transfer the domain does
+			// not need.
+			if t = r.det.await(w.id, phase, w.sweep); t == nil {
 				return
 			}
 			w.steals++ // work appeared during the detector wait
@@ -375,54 +378,6 @@ func (r *hybridRun) stealLocal(w *hybridWorker) *task.Task {
 		}
 	}
 	return nil
-}
-
-// initiate waits out the detector interval and publishes the ANY
-// transfer request for this phase. Unlike ripsRun.initiate, a hybrid
-// worker's domain-mates may make new work stealable while it waits, so
-// each sleep slice re-polls the domain and a successful steal resumes
-// the user phase instead of requesting a transfer the domain does not
-// need.
-func (r *hybridRun) initiate(w *hybridWorker, phase int64) *task.Task {
-	if r.req.Load() >= phase {
-		return nil
-	}
-	if d := r.detectWait(); d > 0 {
-		for d > 0 && !r.cancel.Load() {
-			if t := r.stealLocal(w); t != nil {
-				return t
-			}
-			s := d
-			if s > DefaultDetectInterval {
-				s = DefaultDetectInterval
-			}
-			time.Sleep(s) //ripslint:allow sleep the (possibly adaptive) detector interval delays the ANY request, mirroring the simulator's InitBackoff; it never changes what is computed
-			d -= s
-			if r.req.Load() >= phase {
-				return nil
-			}
-		}
-	}
-	if r.cancel.Load() {
-		return nil
-	}
-	// Perturbation point: delay the request CAS so redundant initiators
-	// of the same phase really race each other.
-	perturb(w.id, phase)
-	for {
-		cur := r.req.Load()
-		if cur >= phase {
-			return nil // a concurrent initiator won; redundant init cancelled
-		}
-		if r.req.CompareAndSwap(cur, phase) {
-			return nil
-		}
-	}
-}
-
-// detectWait mirrors ripsRun.detectWait over the shared detector.
-func (r *hybridRun) detectWait() time.Duration {
-	return r.det.current()
 }
 
 // execute runs one task for real and files its children per the local

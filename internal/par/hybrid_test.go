@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rips/internal/affinity"
 	"rips/internal/ripsrt"
@@ -259,21 +258,18 @@ func TestHybridSingleNodeMachineSkipsPinning(t *testing.T) {
 
 // TestHybridCancel aborts mid-flight hybrid runs on every policy pair:
 // workers must unwind through the epoch barrier promptly, including
-// any worker asleep in its detector wait.
+// any worker waiting in the detector.
 func TestHybridCancel(t *testing.T) {
 	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
 		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := runCanceled(t, Config{
+			runCanceled(t, Config{
 				Topo:     topo.NewMesh(2, 2),
 				App:      bigQueens(),
 				Strategy: Hybrid,
 				Domains:  2,
 				Local:    local,
 				Global:   global,
-			}, 20*time.Millisecond)
-			if res.Executed == 0 {
-				t.Errorf("hybrid %s-%s: no tasks executed before the cancel landed", global, local)
-			}
+			})
 		}
 	}
 }

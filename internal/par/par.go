@@ -11,11 +11,13 @@
 //     straight back into the executable deque; Eager: into a staging
 //     queue that only a system phase can release).
 //   - Transfer detection: the ANY policy is an atomic request word
-//     carrying the user-phase index — the first drained worker
-//     publishes it (compare-and-swap, so redundant initiators cancel
-//     exactly like ripsrt's init broadcast with a phase index), and
-//     every other worker honours it after finishing at most one more
-//     task. The ALL policy needs no signalling at all: a drained
+//     carrying the user-phase index — the worker whose drain leaves
+//     nobody busy publishes it at once, a worker drained for a whole
+//     detector interval publishes it while others still work
+//     (compare-and-swap, so redundant initiators cancel exactly like
+//     ripsrt's init broadcast with a phase index), and every other
+//     worker honours it after finishing at most one more task. The
+//     ALL policy needs no signalling at all: a drained
 //     worker simply enters the phase barrier, which by construction
 //     completes only when every worker has drained.
 //   - System phases: a phase-indexed epoch barrier stops the world;
@@ -83,12 +85,12 @@ func (s Strategy) String() string {
 }
 
 // DefaultDetectInterval is the base (and floor) of the ANY-policy
-// initiation delay: a drained worker waits at least this long for
-// another worker to initiate (or for more tasks to be generated)
-// before requesting the transfer itself. The real-time analogue of
+// initiation delay: while some other worker is still busy, a drained
+// worker waits this long for another worker to initiate before
+// requesting the transfer itself. The real-time analogue of
 // ripsrt.DefaultInitBackoff. When Config.DetectInterval is zero the
 // wait adapts upward from this base as the per-phase migration yield
-// falls (see the adaptive detector in rips.go).
+// falls (see detector.go).
 const DefaultDetectInterval = 100 * time.Microsecond
 
 // DefaultParallelApplyMin is the minimum plan cost (tasks moved by one
@@ -126,14 +128,16 @@ type Config struct {
 	Local  ripsrt.LocalPolicy
 	Global ripsrt.GlobalPolicy
 	// DetectInterval throttles the ANY detector: a drained worker
-	// waits this long before publishing the transfer request, giving
-	// busy workers time to spawn more tasks (the wall-clock analogue
-	// of ripsrt.Config.InitBackoff). A positive value is a constant
-	// override; negative disables the wait. Zero (the default) makes
-	// the wait adaptive: it starts at DefaultDetectInterval and scales
-	// with an EWMA of tasks moved per system phase, so near-empty
-	// phases back off automatically. Only the timing of phases depends
-	// on this; the computed answer never does.
+	// waits at most this long before publishing the transfer request,
+	// giving busy workers time to spawn more tasks (the wall-clock
+	// analogue of ripsrt.Config.InitBackoff); once every worker has
+	// drained the request goes out at once. A positive value is a
+	// constant override; negative disables the wait. Zero (the
+	// default) makes the wait adaptive: it starts at
+	// DefaultDetectInterval and scales with an EWMA of tasks moved per
+	// system phase, so near-empty phases back off automatically. Only
+	// the timing of phases depends on this; the computed answer never
+	// does.
 	DetectInterval time.Duration
 	// ParallelApplyMin is the minimum plan cost (tasks migrated by one
 	// system phase) at which the leader fans plan application out to
@@ -155,10 +159,10 @@ type Config struct {
 	// Cancel, when non-nil, aborts the run once the channel is closed.
 	// Workers observe it between task executions and at phase
 	// boundaries — a canceled RIPS run stops at the next system phase
-	// the epoch barrier opens (within about one DetectInterval, since a
-	// drained worker's detector wait is also interrupted), with no
-	// worker left parked. The partial Result has Canceled set and
-	// conservation unchecked; Run returns it alongside ErrCanceled.
+	// the epoch barrier opens (a drained worker's detector wait is
+	// interrupted too), with no worker left parked. The partial Result
+	// has Canceled set and conservation unchecked; Run returns it
+	// alongside ErrCanceled.
 	Cancel <-chan struct{}
 	// OnPhase, when non-nil, is called by the RIPS phase leader at the
 	// end of every system phase with a snapshot of the phase's outcome.

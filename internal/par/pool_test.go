@@ -132,12 +132,8 @@ func TestPoolCancelFreesWorkers(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cancel := make(chan struct{})
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(cancel)
-	}()
-	res, err := pool.Run(Config{Topo: topo.NewMesh(2, 2), App: bigQueens(), Cancel: cancel})
+	long := newCancelAfter(bigQueens())
+	res, err := pool.Run(Config{Topo: topo.NewMesh(2, 2), App: long, Cancel: long.ch})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled pool run: err = %v, want ErrCanceled", err)
 	}

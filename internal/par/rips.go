@@ -61,14 +61,6 @@ type ripsRun struct {
 	workers []*ripsWorker
 	bar     *epochBarrier
 
-	// req is the ANY detector: the highest user-phase index for which a
-	// transfer has been requested (-1 initially). The first drained
-	// worker of phase p publishes p with a compare-and-swap — exactly
-	// the phase-indexed init broadcast of the simulator runtime, with
-	// redundant initiators cancelled by the CAS instead of by message
-	// filtering.
-	req atomic.Int64
-
 	// beginFn/endFn are the leader callbacks bound once: passing a
 	// fresh method value to await on every phase would allocate on the
 	// hot path.
@@ -113,9 +105,8 @@ type ripsRun struct {
 	moves    []applyMove
 	waveEnds []int
 
-	// det is the adaptive ANY detector (see detector.go): leader-written
-	// inside the barrier, worker-read during user phases.
-	det detector
+	// det is the ANY transfer detector (see detector.go).
+	det *detector
 }
 
 // newRipsRun builds the run state and its workers without starting
@@ -130,11 +121,10 @@ func newRipsRun(cfg *Config) *ripsRun {
 		loads:   make([]int, n),
 		avail:   make([]int, n),
 		pend:    make([]int, n),
-		det:     newDetector(cfg),
 		workers: make([]*ripsWorker, 0, n),
 		start:   time.Now(),
 	}
-	r.req.Store(-1)
+	r.det = newDetector(cfg, n, &r.cancel)
 	r.beginFn = r.beginPhase
 	r.endFn = r.finishPhase
 	for i := 0; i < n; i++ {
@@ -273,17 +263,20 @@ func (r *ripsRun) phaseStep(w *ripsWorker, point *int64) bool {
 // only after finishing the task in hand — and executes at least one
 // task if it has any, which guarantees global progress (every system
 // phase is separated by at least one real execution somewhere). A
-// drained worker requests the transfer itself after the detector
-// interval. Under ALL there is nothing to signal: draining IS the
-// local condition, and the epoch barrier completes exactly when every
-// worker has drained.
+// drained worker waits in the detector, which requests the transfer
+// the moment every worker has drained, or after the detector interval
+// while one is still busy — a wait that keeps a momentary drain during
+// the initial fan-out from triggering a storm of nearly-empty phases.
+// Under ALL there is nothing to signal: draining IS the local
+// condition, and the epoch barrier completes exactly when every worker
+// has drained.
 func (r *ripsRun) userPhase(w *ripsWorker, phase int64) {
 	executed := false
 	for {
 		if r.cancel.Load() {
 			return // abort: head straight for the phase barrier
 		}
-		if executed && r.cfg.Global == ripsrt.Any && r.req.Load() >= phase {
+		if executed && r.cfg.Global == ripsrt.Any && r.det.requested(phase) {
 			return // someone requested the transfer; one task finished since
 		}
 		tk, ok := w.rte.PopFront()
@@ -293,63 +286,9 @@ func (r *ripsRun) userPhase(w *ripsWorker, phase int64) {
 		r.execute(w, tk)
 		executed = true
 	}
-	if r.cfg.Global == ripsrt.All || r.cancel.Load() {
-		return
+	if r.cfg.Global == ripsrt.Any {
+		r.det.await(w.id, phase, nil)
 	}
-	r.initiate(w, phase)
-}
-
-// initiate publishes the ANY transfer request for this phase, waiting
-// the detector interval first so that a momentary drain during the
-// initial fan-out does not trigger a storm of nearly-empty phases.
-func (r *ripsRun) initiate(w *ripsWorker, phase int64) {
-	if r.req.Load() >= phase {
-		return
-	}
-	if d := r.detectWait(); d > 0 {
-		// Sleep in slices of at most the base interval, re-checking the
-		// abort flag between slices: a canceled run must not sit out the
-		// full adaptive backoff (up to 32x base) before its drained
-		// workers reach the barrier.
-		for d > 0 && !r.cancel.Load() {
-			s := d
-			if s > DefaultDetectInterval {
-				s = DefaultDetectInterval
-			}
-			//ripslint:allow hotpath a drained worker sleeping out the detector interval is the sanctioned idle wait of the ANY protocol
-			time.Sleep(s) //ripslint:allow sleep the (possibly adaptive) detector interval delays the ANY request, mirroring the simulator's InitBackoff; it never changes what is computed
-			d -= s
-		}
-	}
-	if r.cancel.Load() {
-		return // abort: no point requesting a transfer nobody will serve
-	}
-	// Perturbation point: delay the request CAS so redundant
-	// initiators of the same phase really race each other.
-	perturb(w.id, phase)
-	for {
-		cur := r.req.Load()
-		if cur >= phase {
-			return // a concurrent initiator won; redundant init cancelled
-		}
-		if r.req.CompareAndSwap(cur, phase) {
-			return
-		}
-	}
-}
-
-// detectWait is the ANY detector wait: the constant Config override
-// when set, otherwise the adaptive wait the leader derives from phase
-// yield (leader-written inside the barrier, so the read here is
-// ordered by the barrier release).
-func (r *ripsRun) detectWait() time.Duration {
-	return r.det.current()
-}
-
-// updateDetector folds the finished phase's migration volume into the
-// shared adaptive detector (see detector.go).
-func (r *ripsRun) updateDetector() {
-	r.det.update(r.phaseMoved, r.n)
 }
 
 // execute runs one task for real and files its children per the local
@@ -490,7 +429,7 @@ func (r *ripsRun) finishPhase() {
 		}
 		invariant.Conserved(total, after, "par: system phase")
 	}
-	r.updateDetector()
+	r.det.update(r.phaseMoved, r.n)
 	r.sysTime += time.Since(r.phaseStart)
 	if h := r.cfg.OnPhase; h != nil {
 		//ripslint:allow hotpath OnPhase observer contract: the hook runs inside the stopped world and is documented to be allocation-conscious

@@ -11,10 +11,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rips"
+	"rips/internal/app"
+	"rips/internal/apps/nqueens"
+	"rips/internal/sim"
 )
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -49,6 +53,53 @@ func waitState(t *testing.T, job *Job, timeout time.Duration, pred func(Snapshot
 			t.Fatalf("job %s stuck in state %q after %v", job.ID, snap.State, timeout)
 		}
 	}
+}
+
+// gatedQueens is 13-Queens whose 64th executed task parks until the
+// test releases it, so a job running it is mid-flight for as long as
+// the test needs — cancelling "a running job" cannot race the job to
+// its end, however fast the backend gets.
+type gatedQueens struct {
+	app.Counted
+	executed atomic.Int64
+	reached  chan struct{} // closed when the gate task starts
+	release  chan struct{} // closed by open to let it finish
+	once     sync.Once
+}
+
+func (g *gatedQueens) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gatedQueens) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
+	if g.executed.Add(1) == 64 {
+		close(g.reached)
+		<-g.release
+	}
+	return g.Counted.ExecuteCount(data, emit)
+}
+
+// registerGated registers a one-off family serving one gatedQueens
+// instance and returns the family name with the gate. Opening the gate
+// is also a cleanup, so a failing test cannot leave a worker parked.
+func registerGated(t *testing.T) (family string, g *gatedQueens) {
+	t.Helper()
+	g = &gatedQueens{Counted: nqueens.New(13, 4), reached: make(chan struct{}), release: make(chan struct{})}
+	family = fmt.Sprintf("%s#%d", t.Name(), familySeq.Add(1))
+	rips.RegisterApp(family, func(int) (rips.App, error) { return g, nil })
+	t.Cleanup(g.open)
+	return family, g
+}
+
+// cancelAtGate waits for the job to reach its gate task, runs cancel
+// while that task is parked, then opens the gate.
+func cancelAtGate(t *testing.T, g *gatedQueens, cancel func()) {
+	t.Helper()
+	select {
+	case <-g.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("gated job never reached its 64th task")
+	}
+	cancel()
+	g.open()
 }
 
 func waitTerminal(t *testing.T, job *Job) Snapshot {
@@ -149,12 +200,12 @@ func TestServeMatchesDirectRun(t *testing.T) {
 func TestServeCancelFreesPool(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 4})
 
-	long, err := s.Submit(JobSpec{App: "nq", Size: 13, Config: rips.ConfigJSON{Procs: 4, Backend: "parallel"}})
+	family, gate := registerGated(t)
+	long, err := s.Submit(JobSpec{App: family, Config: rips.ConfigJSON{Procs: 4, Backend: "parallel"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, long, 30*time.Second, func(s Snapshot) bool { return s.State == StateRunning })
-	long.Cancel()
+	cancelAtGate(t, gate, long.Cancel)
 	snap := waitTerminal(t, long)
 	if snap.State != StateCanceled {
 		t.Fatalf("canceled job settled as %q (err %q)", snap.State, snap.Err)
@@ -177,17 +228,22 @@ func TestServeCancelFreesPool(t *testing.T) {
 func TestServeCancelQueued(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 2})
 
-	long, err := s.Submit(JobSpec{App: "nq", Size: 13, Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
+	family, gate := registerGated(t)
+	long, err := s.Submit(JobSpec{App: family, Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, long, 30*time.Second, func(s Snapshot) bool { return s.State == StateRunning })
-	queued, err := s.Submit(JobSpec{App: "nq", Size: 8, Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued.Cancel()
-	long.Cancel()
+	var queued *Job
+	cancelAtGate(t, gate, func() {
+		// The long job holds the whole pool at its gate, so this one
+		// cannot have started when it is canceled.
+		queued, err = s.Submit(JobSpec{App: "nq", Size: 8, Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued.Cancel()
+		long.Cancel()
+	})
 	snap := waitTerminal(t, queued)
 	if snap.State != StateCanceled {
 		t.Errorf("queued-then-canceled job settled as %q", snap.State)
@@ -437,7 +493,8 @@ func TestServeHTTPCancel(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `{"app": "nq", "size": 13, "config": {"procs": 4, "backend": "parallel"}}`
+	family, gate := registerGated(t)
+	body := fmt.Sprintf(`{"app": %q, "config": {"procs": 4, "backend": "parallel"}}`, family)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -452,16 +509,16 @@ func TestServeHTTPCancel(t *testing.T) {
 	if !ok {
 		t.Fatal("submitted job not in table")
 	}
-	waitState(t, job, 30*time.Second, func(s Snapshot) bool { return s.State == StateRunning })
-
-	resp, err = http.Post(ts.URL+"/v1/jobs/"+submitted.ID+"/cancel", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cancel: status %d", resp.StatusCode)
-	}
-	_ = resp.Body.Close()
+	cancelAtGate(t, gate, func() {
+		resp, err = http.Post(ts.URL+"/v1/jobs/"+submitted.ID+"/cancel", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cancel: status %d", resp.StatusCode)
+		}
+		_ = resp.Body.Close()
+	})
 
 	snap := waitTerminal(t, job)
 	if snap.State != StateCanceled {

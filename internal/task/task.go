@@ -38,7 +38,44 @@ func (q *Queue) Len() int { return len(q.items) - q.head }
 func (q *Queue) Empty() bool { return q.Len() == 0 }
 
 // PushBack appends a task at the back.
-func (q *Queue) PushBack(t Task) { q.items = append(q.items, t) } //ripslint:allow hotpath the backing array retains its capacity across phases; steady-state growth is zero (TestSteadyStateZeroAlloc pins it)
+func (q *Queue) PushBack(t Task) {
+	if len(q.items) == cap(q.items) {
+		q.grow(1)
+	}
+	q.items = append(q.items, t) //ripslint:allow hotpath grow has made room, so this append never reallocates
+}
+
+// grow makes room for extra more tasks behind the live ones, moving
+// only the live tasks. When the dead prefix before head is at least as
+// long as the live part and the array would hold them all, they slide
+// down within it: each PopFront has paid for one slot of that copy, and
+// a queue whose length has settled never allocates again. Otherwise
+// they move into a fresh array of twice the live count, or of exactly
+// what is needed when a batch is larger than that, and never of less
+// than minCap. Growing from the live count allocates at most about
+// three times the last array over a queue's life; append's 1.25x steps
+// for large slices, each copying the dead prefix too, came to about
+// five times.
+func (q *Queue) grow(extra int) {
+	live := q.Len()
+	if q.head >= live && live+extra <= cap(q.items) {
+		q.compact()
+		return
+	}
+	items := make([]Task, live, max(live+extra, 2*live, minCap)) //ripslint:allow hotpath the backing array grows to the high-water mark once and is kept across phases; steady-state growth is zero (TestSteadyStateZeroAlloc pins it)
+	copy(items, q.items[q.head:])
+	q.items, q.head = items, 0
+}
+
+// compactMin is the dead prefix maybeCompact always tolerates, and
+// minCap the smallest array grow allocates: twice that, so a queue of
+// a few tasks is compacted by the check in PopFront every compactMin
+// pops and does not come to grow each time it has walked across a
+// two-slot array.
+const (
+	compactMin = 32
+	minCap     = 2 * compactMin
+)
 
 // PushFront prepends a task at the front.
 func (q *Queue) PushFront(t Task) {
@@ -143,18 +180,26 @@ func (q *Queue) Drain() []Task {
 
 // PushAll appends tasks preserving slice order.
 func (q *Queue) PushAll(ts []Task) {
-	q.items = append(q.items, ts...) //ripslint:allow hotpath the backing array retains its capacity across phases; steady-state growth is zero (TestSteadyStateZeroAlloc pins it)
+	if len(q.items)+len(ts) > cap(q.items) {
+		q.grow(len(ts))
+	}
+	q.items = append(q.items, ts...) //ripslint:allow hotpath grow has made room, so this append never reallocates
 }
 
 // maybeCompact reclaims the dead prefix once it dominates the backing
 // array, keeping amortized O(1) operations without unbounded growth.
 func (q *Queue) maybeCompact() {
-	if q.head > 32 && q.head > len(q.items)/2 {
-		n := copy(q.items, q.items[q.head:])
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = Task{}
-		}
-		q.items = q.items[:n]
-		q.head = 0
+	if q.head > compactMin && q.head > len(q.items)/2 {
+		q.compact()
 	}
+}
+
+// compact slides the live tasks down to the start of the array.
+func (q *Queue) compact() {
+	n := copy(q.items, q.items[q.head:])
+	for i := n; i < len(q.items); i++ {
+		q.items[i] = Task{}
+	}
+	q.items = q.items[:n]
+	q.head = 0
 }

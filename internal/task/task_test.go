@@ -2,8 +2,10 @@ package task
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestQueueFIFO(t *testing.T) {
@@ -265,5 +267,165 @@ func TestQueueModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fillToCap pushes tasks numbered from *next until the backing array is
+// full, so that the very next push has to regrow.
+func fillToCap(q *Queue, next *uint64) {
+	for len(q.items) < cap(q.items) || cap(q.items) == 0 {
+		q.PushBack(Task{ID: *next})
+		*next++
+	}
+}
+
+// TestRegrowKeepsOrder regrows a queue that has a dead prefix before
+// head — through PushBack and through PushAll, into a fresh array and
+// (when the dead prefix is as long as the live part) within the old
+// one — and checks every way of taking tasks out against the plain
+// sequence.
+func TestRegrowKeepsOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		half  bool // pop half of the full array before the regrow, not just 7 tasks
+		batch int  // tasks pushed by the regrowing call
+		all   bool // PushAll instead of PushBack
+		fresh bool // expect a new backing array
+	}{
+		{"pushback-fresh", false, 1, false, true},
+		{"pushall-fresh", false, 50, true, true},
+		{"pushall-in-place", true, 3, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Queue
+			var next uint64
+			fillToCap(&q, &next)
+			pops := 7
+			if tc.half {
+				pops = len(q.items) / 2
+			}
+			for i := 0; i < pops; i++ {
+				q.PopFront()
+			}
+			if q.head != pops {
+				t.Fatalf("head = %d before the regrow, want the dead prefix of %d", q.head, pops)
+			}
+			first, old := uint64(pops), &q.items[0]
+
+			if tc.all {
+				batch := make([]Task, tc.batch)
+				for i := range batch {
+					batch[i] = Task{ID: next}
+					next++
+				}
+				q.PushAll(batch)
+			} else {
+				q.PushBack(Task{ID: next})
+				next++
+			}
+			if q.head != 0 {
+				t.Errorf("head = %d after the regrow, want the live tasks moved to the start", q.head)
+			}
+			if fresh := &q.items[0] != old; fresh != tc.fresh {
+				t.Errorf("regrow into a fresh array = %v, want %v", fresh, tc.fresh)
+			}
+			if want := int(next - first); q.Len() != want {
+				t.Fatalf("Len = %d after the regrow, want %d", q.Len(), want)
+			}
+
+			// Back: one PopBack, then three through TakeBackInto.
+			if got, ok := q.PopBack(); !ok || got.ID != next-1 {
+				t.Errorf("PopBack = %+v, %v, want ID %d", got, ok, next-1)
+			}
+			buf := make([]Task, 3)
+			if n := q.TakeBackInto(buf); n != 3 || buf[0].ID != next-4 || buf[2].ID != next-2 {
+				t.Errorf("TakeBackInto = %d %+v, want IDs %d..%d", n, buf, next-4, next-2)
+			}
+			// Front: everything left, in FIFO order.
+			for want := first; want < next-4; want++ {
+				if got, ok := q.PopFront(); !ok || got.ID != want {
+					t.Fatalf("PopFront = %+v, %v, want ID %d", got, ok, want)
+				}
+			}
+			if !q.Empty() {
+				t.Errorf("%d tasks left over", q.Len())
+			}
+		})
+	}
+}
+
+// TestSettledQueueZeroAlloc pins the other half of regrowth: a queue
+// whose length has settled must reclaim its dead prefix in place, not
+// move to a new array every time head has walked across the old one.
+func TestSettledQueueZeroAlloc(t *testing.T) {
+	for _, live := range []int{1, 8, 64, 1000} {
+		var q Queue
+		for i := 0; i < live; i++ {
+			q.PushBack(Task{ID: uint64(i)})
+		}
+		batch := make([]Task, 8)
+		cycle := func() { // several times round the array, both push forms
+			for i := 0; i < 4*live; i++ {
+				q.PushBack(Task{})
+				q.PopFront()
+			}
+			for i := 0; i < live; i++ {
+				q.PushAll(batch)
+				for range batch {
+					q.PopFront()
+				}
+			}
+		}
+		cycle() // reach the high-water mark
+		if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+			t.Errorf("live=%d: a settled queue allocates %.1f times per cycle", live, avg)
+		}
+		if q.Len() != live {
+			t.Errorf("live=%d: Len = %d after the cycles", live, q.Len())
+		}
+	}
+}
+
+// growWorkload is the shape of a user phase that spawns faster than it
+// executes: n pushes, a PopFront after every second one.
+func growWorkload(q *Queue, n int) {
+	for i := 0; i < n; i++ {
+		q.PushBack(Task{ID: uint64(i)})
+		if i%2 == 1 {
+			q.PopFront()
+		}
+	}
+}
+
+// TestRegrowAllocBudget bounds the bytes a growing queue allocates over
+// its life. Doubling from the live size comes to about twice the final
+// array; append's 1.25x steps over the dead prefix came to about five
+// times n tasks.
+func TestRegrowAllocBudget(t *testing.T) {
+	const n = 1 << 16
+	var q Queue
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	growWorkload(&q, n)
+	runtime.ReadMemStats(&after)
+	if q.Len() != n/2 {
+		t.Fatalf("Len = %d, want %d", q.Len(), n/2)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	budget := uint64(3 * n * int(unsafe.Sizeof(Task{})))
+	t.Logf("%d pushes, %d pops: %d bytes allocated, %.2f x n x sizeof(Task)", n, n/2, got, float64(got)/float64(budget/3))
+	if got > budget {
+		t.Errorf("allocated %d bytes for %d pushes, budget %d (3 x n x sizeof(Task))", got, n, budget)
+	}
+}
+
+// BenchmarkQueueGrow is one queue's growth from empty to 32Ki live
+// tasks under the spawn-faster-than-execute shape; B/op is the number
+// TestRegrowAllocBudget bounds.
+func BenchmarkQueueGrow(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var q Queue
+		growWorkload(&q, 1<<16)
 	}
 }

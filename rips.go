@@ -188,8 +188,9 @@ type Config struct {
 	// runtime default of 1ms. Simulate backend only.
 	InitBackoff Time
 	// DetectInterval is the real-time analogue of InitBackoff for the
-	// Parallel backend: how long a drained worker waits before
-	// requesting a transfer. Negative disables the wait; a positive
+	// Parallel backend: how long a drained worker waits, at most and
+	// only while some other worker is still busy, before requesting a
+	// transfer. Negative disables the wait; a positive
 	// value is a constant override; zero (the default) adapts the wait
 	// from observed phase yield, starting at the backend base of 100us
 	// and backing off as phases move fewer tasks. Only phase timing
