@@ -290,6 +290,43 @@ func TestRunContextCancelParallel(t *testing.T) {
 	}
 }
 
+// lingerApp is one task that outlasts any timeout of a run it is in:
+// it returns once its deadline's worth of real time has passed twice.
+type lingerApp struct{ timeout time.Duration }
+
+func (a lingerApp) Name() string           { return "linger" }
+func (a lingerApp) Rounds() int            { return 1 }
+func (a lingerApp) Roots(int) []rips.Spawn { return []rips.Spawn{{}} }
+func (a lingerApp) Execute(any, func(rips.Spawn)) rips.Time {
+	time.Sleep(2 * a.timeout)
+	return 1
+}
+
+// TestStealTimeout runs a job whose second worker never has anything
+// to steal, under a Config.Timeout that expires while the first is
+// still inside the only task. The idle thief's wait has no deadline of
+// its own: unless the timeout reaches it there, the run never returns.
+func TestStealTimeout(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	a := lingerApp{timeout}
+	cfg := rips.Config{Procs: 2, Backend: rips.Parallel, Algorithm: rips.Steal, Timeout: timeout}
+	done := make(chan struct{})
+	var res rips.Result
+	var err error
+	go func() {
+		defer close(done)
+		res, err = rips.RunProfiledContext(context.Background(), a, rips.Profile{Tasks: 1, Work: 1}, cfg)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed-out steal run still going after 10s")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !res.Canceled {
+		t.Errorf("err = %v, Canceled = %v; want context.DeadlineExceeded on a canceled result", err, res.Canceled)
+	}
+}
+
 // TestRunContextCompletes checks an uncanceled context changes nothing
 // and Run remains a working wrapper.
 func TestRunContextCompletes(t *testing.T) {

@@ -276,6 +276,18 @@ func TestRealPackagesClean(t *testing.T) {
 		for _, f := range Unwaived(Run(pkg, All())) {
 			t.Errorf("%s: unexpected finding: %s", rel, f)
 		}
+		if rel != "internal/par" {
+			continue
+		}
+		// Policy: the real-parallel backend waits by yielding, never by a
+		// timer. Its last sleep waiver went with the stealing executor's
+		// idle back-off; the default file set must not grow another (the
+		// ripsperturb hook lives behind its build tag, outside it).
+		for _, d := range pkg.directives {
+			if d.check == "sleep" {
+				t.Errorf("%s:%d: internal/par holds a sleep waiver (%s); wait by yielding instead", d.file, d.line, d.reason)
+			}
+		}
 	}
 }
 

@@ -97,16 +97,31 @@ func TestHotpathCoverage(t *testing.T) {
 			t.Errorf("hotpath proof does not cover %s (exercised by TestSteadyStateZeroAlloc)", fn)
 		}
 	}
-	// The emit closure is rooted separately (dynamic call from the
-	// application); it appears as a function literal node.
-	foundEmit := false
-	for _, name := range hot {
-		if strings.HasPrefix(name, "par.newRipsRun.func@") {
-			foundEmit = true
+	// The deque engine's per-task path (Hybrid and Steal), proven
+	// allocation-free apart from the slab refill, the pending list's
+	// growth and deque.grow; TestDequeExecutorAllocs samples the same.
+	for _, fn := range []string{
+		"par.(*hybridRun).execute",
+		"par.(*hybridWorker).release",
+		"par.(*hybridWorker).newID",
+		"par.(*deque).push",
+	} {
+		if !hotSet[fn] {
+			t.Errorf("hotpath proof does not cover %s (exercised by TestDequeExecutorAllocs)", fn)
 		}
 	}
-	if !foundEmit {
-		t.Errorf("hotpath proof does not cover the emit closure (hot set: %d functions)", len(hot))
+	// The emit closures are rooted separately (dynamic call from the
+	// application); they appear as function literal nodes.
+	for _, ctor := range []string{"par.newRipsRun", "par.newHybridRun"} {
+		found := false
+		for _, name := range hot {
+			if strings.HasPrefix(name, ctor+".func@") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("hotpath proof does not cover the emit closure of %s (hot set: %d functions)", ctor, len(hot))
+		}
 	}
 	// The simulated backend's map-criterion root.
 	if !hotSet["ripsrt.nodeMain"] {

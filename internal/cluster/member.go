@@ -53,6 +53,7 @@ type memberRun struct {
 
 	generated, executed, nonlocal, appResult int64
 	vwork                                    sim.Time
+	start                                    time.Time // anchor of the busy-time clock readings, set by run
 	busy                                     time.Duration
 	yielded                                  time.Duration // busy at the last yield
 }
@@ -94,6 +95,7 @@ func (m *memberRun) stage(round int) {
 
 func (m *memberRun) run() {
 	m.emit = m.spawn
+	m.start = time.Now()
 	m.stage(0)
 	if m.p.send(fAttachOK, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
 		return
@@ -283,9 +285,9 @@ func (m *memberRun) pausedLoop() bool {
 // time measured here anyway: microsecond tasks pay no scheduler call
 // and no extra clock read each.
 func (m *memberRun) execute(t task.Task) {
-	start := time.Now()
+	began := time.Since(m.start) // monotonic readings only: time.Now would read the wall clock too
 	w, res := app.ExecuteCount(m.app, t.Data, m.emit)
-	m.busy += time.Since(start)
+	m.busy += time.Since(m.start) - began
 	m.executed++
 	m.vwork += w
 	m.appResult += res

@@ -56,7 +56,7 @@ func (d *deque) push(t *task.Task) {
 	tp := d.top.Load()
 	r := d.buf.Load()
 	if b-tp >= int64(len(r.slots)) {
-		r = d.grow(r, tp, b)
+		r = d.grow(r, tp, b) //ripslint:allow hotpath the ring doubles to the deque's high-water mark and is kept for the run; growth amortizes to zero
 	}
 	r.slots[b&r.mask].Store(t)
 	d.bottom.Store(b + 1)

@@ -55,8 +55,9 @@ const (
 // runs its push/pop ops on one goroutine while 1-4 thieves (decoded
 // from the first byte) steal continuously. Linearizability of the
 // top-CAS protocol shows up as two checkable facts: every pushed task
-// is claimed by exactly one party (no loss, no duplication — the
-// property the steal backend's pending counter relies on), and each
+// is claimed by exactly one party (no loss, no duplication — what lets
+// the deque engine end a round on a barrier snapshot of empty deques
+// with no count of outstanding tasks), and each
 // thief's claimed IDs are strictly increasing (steals drain the top
 // monotonically). Run with -race for the memory-order half of the
 // argument.

@@ -3,6 +3,7 @@
 package par
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -10,10 +11,10 @@ import (
 	"rips/internal/task"
 )
 
-// detector is the ANY-policy transfer detector shared by the RIPS and
-// Hybrid strategies. A transfer is requested for user phase p by
-// publishing p in req; workers holding tasks honour it after the task
-// in hand. Two things publish it:
+// detector is the ANY-policy transfer detector shared by every
+// strategy. A transfer is requested for user phase p by publishing p in
+// req; workers holding tasks honour it after the task in hand. Two
+// things publish it:
 //
 //   - the worker whose drain makes the drained count reach the worker
 //     count, at once: nobody is left to create work, so the round
@@ -21,7 +22,8 @@ import (
 //   - a drained worker whose detector interval ran out while some
 //     other worker was still busy. The interval adapts: an EWMA of
 //     tasks moved per system phase stretches it, so near-empty phases
-//     back off automatically.
+//     back off automatically. Steal has no interval: a phase moves
+//     nothing there, so only the count ever asks for the barrier.
 //
 // The leader resets the count and updates the EWMA inside the epoch
 // barrier; workers touch req and drained between barriers. Only the
@@ -41,10 +43,14 @@ type detector struct {
 	req atomic.Int64
 	// drained counts the workers in the drained state of the current
 	// user phase. Under RIPS it is exact (a drained worker receives no
-	// work outside a system phase). Under Hybrid a worker that steals
-	// leaves the state again, and a count read just before it does can
-	// open one early phase — whose barrier snapshot stays the only
-	// authority on totals, so answers and conservation are untouched.
+	// work outside a system phase). Under Hybrid and Steal a worker that
+	// steals leaves the state again, and a count read just before it
+	// does — the thief holds the stolen task, its victim drains and
+	// counts itself last — can open one early phase. That costs a barrier
+	// crossing and nothing else: the thief executes the task in hand
+	// before it honours the request, and the barrier snapshot stays the
+	// only authority on totals, so answers and conservation are
+	// untouched.
 	drained atomic.Int32
 }
 
@@ -54,11 +60,17 @@ func newDetector(cfg *Config, n int, cancel *atomic.Bool) *detector {
 	return d
 }
 
-// current is the interval to apply now: the constant Config override
-// when set, otherwise the adaptive interval derived from phase yield
-// (leader-written inside the barrier, so the read is ordered by the
-// barrier release).
+// noTimeout is the interval of a detector that never times out.
+const noTimeout = time.Duration(math.MaxInt64)
+
+// current is the interval to apply now: none under Steal, the constant
+// Config override when set, otherwise the adaptive interval derived
+// from phase yield (leader-written inside the barrier, so the read is
+// ordered by the barrier release).
 func (d *detector) current() time.Duration {
+	if d.cfg.Strategy == Steal {
+		return noTimeout
+	}
 	if d.cfg.DetectInterval != 0 {
 		return d.cfg.detectInterval()
 	}
@@ -78,13 +90,13 @@ func (d *detector) requested(phase int64) bool { return d.req.Load() >= phase }
 // would round every one of them up to the kernel's ~1 ms granularity.
 // poll, when non-nil, is tried on every turn: a task it returns takes
 // the worker out of the drained state and is handed to the caller to
-// execute (Hybrid's steal sweep; nil under RIPS).
+// execute (the steal sweep of Hybrid and Steal; nil under RIPS).
 func (d *detector) await(id int, phase int64, poll func() *task.Task) *task.Task {
 	if int(d.drained.Add(1)) < d.n {
 		interval, start := d.current(), time.Now()
 		for !d.requested(phase) && !d.cancel.Load() && time.Since(start) < interval {
 			if poll != nil {
-				//ripslint:allow hotpath poll is nil under RIPS, the strategy the zero-alloc proof covers; Hybrid's steal sweep is outside that contract
+				//ripslint:allow hotpath poll is nil under RIPS; under Hybrid and Steal it is the worker's pre-bound steal sweep, which only probes deque tops — a function value the traversal cannot name
 				if t := poll(); t != nil {
 					d.drained.Add(-1)
 					return t

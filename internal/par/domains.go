@@ -97,10 +97,12 @@ func domainTopology(machine topo.Topology, nd int) topo.Topology {
 // (several hybrid domains share a node when nd exceeds the node
 // count). On machines with a single visible node it returns nil:
 // pinning every worker to the whole machine would be a no-op
-// constraint, so the workers run unpinned.
+// constraint, so the workers run unpinned. So do the workers of a
+// single domain, which is the whole machine whatever its nodes (every
+// Steal run; Hybrid with Domains 1).
 func domainCPUs(nd int) [][]int {
 	aff := affinityDomains()
-	if len(aff) < 2 {
+	if len(aff) < 2 || nd < 2 {
 		return nil
 	}
 	out := make([][]int, nd)

@@ -17,40 +17,82 @@ import (
 	"rips/internal/topo"
 )
 
-// This file is the Hybrid strategy: the RIPS phase protocol across
-// affinity domains, Chase-Lev work stealing within them. Workers are
-// partitioned into contiguous domain blocks pinned to the machine's
-// NUMA nodes; during user phases an idle worker steals only from its
-// domain-mates (cheap, cache-shared traffic), and the global epoch
-// barrier stops the world for system phases exactly as under pure
-// RIPS — except that the leader snapshots per-DOMAIN load sums, plans
-// over a domain-level virtual machine with the unchanged walking
-// algorithms, and the plan is applied by the domain leaders moving
-// tasks between domains' deques. Intra-domain imbalance needs no
+// This file is the deque engine behind two strategies. Hybrid is the
+// RIPS phase protocol across affinity domains, Chase-Lev work stealing
+// within them. Workers are partitioned into contiguous domain blocks
+// pinned to the machine's NUMA nodes; during user phases an idle worker
+// steals only from its domain-mates (cheap, cache-shared traffic), and
+// the global epoch barrier stops the world for system phases exactly as
+// under pure RIPS — except that the leader snapshots per-DOMAIN load
+// sums, plans over a domain-level virtual machine with the unchanged
+// walking algorithms, and the plan is applied by the domain leaders
+// moving tasks between domains' deques. Intra-domain imbalance needs no
 // planning at all: the deques absorb it continuously.
+//
+// Steal is the same engine at one domain: the victims are the whole
+// machine, so there is never anything to plan, and the detector never
+// times out, so the barrier is crossed only when the worker completing
+// the drained count asks for it — at a round boundary, or one crossing
+// early when that count was read stale (see detector.drained). The
+// barrier's zero-total snapshot, taken with the world stopped, is what
+// advances the round and ends the run; a task in a deque or in a
+// thief's hand can therefore never be left behind. A Steal run reports
+// none of this as phases: to its caller a crossing is a round barrier.
 
-// hybridWorker is one worker's private state under the Hybrid
-// strategy: a Chase-Lev deque its domain-mates may steal from, plus
-// the Eager staging buffer and reusable spawn scratch of the RIPS side
-// of the protocol.
+// slabSize is the number of task nodes a worker carves from one
+// allocation. Deques hold pointers, so every task needs a node that
+// outlives the execution that spawned it; taking them from a per-worker
+// bump slab makes that one allocation per slabSize tasks.
+const slabSize = 256
+
+// hybridWorker is one worker's private state in the deque engine: a
+// Chase-Lev deque the workers of its domain may steal from, the slab
+// its task nodes come from, and the list of nodes not yet pushed.
 type hybridWorker struct {
 	counters
-	id      int
-	dom     int // index into hybridRun.doms
-	d       *deque
-	stage   []task.Task // ready to schedule (Eager local policy)
-	scratch []task.Task // children of the task in hand, reused per execute
-	emit    func(app.Spawn)
+	id  int
+	dom int // index into hybridRun.doms: whom it steals from and balances with
+	// class is the domain its steals are accounted to in the Result: dom
+	// under Hybrid, the Config.Domains classification under Steal (whose
+	// single engine domain is the whole machine).
+	class int
+	d     *deque
+	// slab is the chunk nodes are being carved from, len(slab) of them
+	// so far. Only its owner appends (the phase leader too, for roots,
+	// with the world stopped). A full chunk is dropped, not recycled: its
+	// nodes sit in deques and thieves' hands for as long as they take, so
+	// a chunk lives until the last of its nodes is unreachable — which
+	// may be rounds after the one that filled it.
+	slab []task.Task
+	// kids are the nodes emitted but not yet in the deque, in emission
+	// order: the children of the task in hand, and under the Eager local
+	// policy everything staged since the last system phase. The array is
+	// reused.
+	kids []*task.Task
+	emit func(app.Spawn)
 	// sweep is stealLocal bound to this worker once, so handing it to the
 	// detector as its poll on every drain allocates nothing.
 	sweep  func() *task.Task
 	rng    *rand.Rand // victim rotation only; never affects the answer
 	steals int64
+	// xsteals counts steals whose victim is of another class: none under
+	// Hybrid by construction, the cross-domain traffic under Steal.
+	xsteals int64
 }
 
 func (w *hybridWorker) newID() uint64 {
 	w.seq++
 	return packID(w.id, w.seq)
+}
+
+// release pushes the pending nodes onto the worker's own deque, where
+// the owner pops them and thieves may take them. Owner only, or the
+// phase leader with the world stopped.
+func (w *hybridWorker) release() {
+	for _, t := range w.kids {
+		w.d.push(t)
+	}
+	w.kids = w.kids[:0]
 }
 
 // hybridDomain is one contiguous worker block [lo, hi) acting as a
@@ -78,10 +120,10 @@ type hybridDomain struct {
 
 func (d *hybridDomain) size() int { return d.hi - d.lo }
 
-// hybridRun is the shared state of one Hybrid-strategy run. It mirrors
-// ripsRun with the per-worker protocol state replaced by per-domain
-// state: loads, plans, waves and exchange buffers are all indexed by
-// domain, and nd (not n) bounds the planner's problem size.
+// hybridRun is the shared state of one run of the deque engine. It
+// mirrors ripsRun with the per-worker protocol state replaced by
+// per-domain state: loads, plans, waves and exchange buffers are all
+// indexed by domain, and nd (not n) bounds the planner's problem size.
 type hybridRun struct {
 	cfg     *Config
 	n, nd   int
@@ -90,10 +132,21 @@ type hybridRun struct {
 	dtopo   topo.Topology // domain-level virtual machine the planner sees
 	bar     *epochBarrier
 
+	// steal marks a Steal run: one domain, a detector without a timeout,
+	// and a Result that reports no phases. eager and all are the transfer
+	// policy, which Steal ignores (children go straight to the deque, and
+	// only the drained count requests a barrier). classes is the number
+	// of domains steals are broken down by in the Result: nd under
+	// Hybrid, the resolved Config.Domains under Steal, zero without.
+	steal, eager, all bool
+	classes           int
+
 	beginFn, endFn func()
 
 	cancel atomic.Bool
-	start  time.Time
+	// start anchors every clock read of the run: the busy time around a
+	// task is the difference of two monotonic readings against it.
+	start time.Time
 	// pinned counts workers that successfully pinned to their domain's
 	// CPUs; the remainder run unpinned by the fallback contract.
 	pinned atomic.Int64
@@ -131,22 +184,34 @@ type hybridRun struct {
 // domain-level topology, workers — without starting the workers.
 func newHybridRun(cfg *Config) *hybridRun {
 	n := cfg.Topo.Size()
-	_, hypercube := cfg.Topo.(*topo.Hypercube)
-	nd := resolveDomains(cfg.Domains, n, hypercube)
 	r := &hybridRun{
 		cfg:   cfg,
 		n:     n,
-		nd:    nd,
+		nd:    1,
+		steal: cfg.Strategy == Steal,
 		bar:   newEpochBarrier(n),
-		dtopo: domainTopology(cfg.Topo, nd),
-		loads: make([]int, nd),
-		avail: make([]int, nd),
-		pend:  make([]int, nd),
 		start: time.Now(),
 	}
+	if r.steal {
+		if cfg.Domains > 0 {
+			r.classes = resolveDomains(cfg.Domains, n, false)
+		}
+	} else {
+		_, hypercube := cfg.Topo.(*topo.Hypercube)
+		r.nd = resolveDomains(cfg.Domains, n, hypercube)
+		r.classes = r.nd
+		r.eager = cfg.Local == ripsrt.Eager
+		r.all = cfg.Global == ripsrt.All
+	}
+	nd := r.nd
+	r.dtopo = domainTopology(cfg.Topo, nd)
+	r.loads = make([]int, nd)
+	r.avail = make([]int, nd)
+	r.pend = make([]int, nd)
 	r.det = newDetector(cfg, n, &r.cancel)
 	r.beginFn = r.beginPhase
 	r.endFn = r.finishPhase
+	classOf := workerDomains(domainBlocks(n, max(r.classes, 1)), n)
 	blocks := domainBlocks(n, nd)
 	cpus := domainCPUs(nd)
 	for d := 0; d < nd; d++ {
@@ -157,13 +222,26 @@ func newHybridRun(cfg *Config) *hybridRun {
 		r.doms = append(r.doms, dom)
 		for i := dom.lo; i < dom.hi; i++ {
 			w := &hybridWorker{
-				id:  i,
-				dom: d,
-				d:   newDeque(),
-				rng: rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b9)),
+				id:    i,
+				dom:   d,
+				class: classOf[i],
+				d:     newDeque(),
+				rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b9)),
 			}
+			// emit runs inside every task execution, called back by the
+			// application: the traversal cannot follow that call, so it is
+			// rooted explicitly. It writes the child into the slab and lists
+			// the node; pushing is execute's business, outside the busy time.
+			//ripslint:hotpath alloc
 			w.emit = func(sp app.Spawn) {
-				w.scratch = append(w.scratch, task.Task{ID: w.newID(), Origin: w.id, Size: sp.Size, Data: sp.Data})
+				if len(w.slab) == cap(w.slab) {
+					w.slab = make([]task.Task, 0, slabSize) //ripslint:allow hotpath slab refill: the one allocation per slabSize task nodes (TestDequeExecutorAllocs pins it)
+				}
+				k := len(w.slab)
+				w.slab = w.slab[:k+1]
+				w.slab[k] = task.Task{ID: w.newID(), Origin: w.id, Size: sp.Size, Data: sp.Data}
+				w.generated++
+				w.kids = append(w.kids, &w.slab[k]) //ripslint:allow hotpath kids keeps its capacity across tasks; growth stops at the widest fan-out (TestDequeExecutorAllocs pins it)
 			}
 			w.sweep = func() *task.Task { return r.stealLocal(w) }
 			r.workers = append(r.workers, w)
@@ -172,6 +250,7 @@ func newHybridRun(cfg *Config) *hybridRun {
 	return r
 }
 
+// runHybrid runs the deque engine for the Hybrid and Steal strategies.
 func runHybrid(cfg *Config, d driver) (Result, error) {
 	r := newHybridRun(cfg)
 	r.loadRoots(0)
@@ -185,26 +264,29 @@ func runHybrid(cfg *Config, d driver) (Result, error) {
 	d.dispatch(r.n, r.workerMain)
 	wall := time.Since(start)
 
-	res := Result{
-		Workers:        r.n,
-		Domains:        r.nd,
-		Overhead:       r.sysTime,
-		Migrated:       r.migrated,
-		Phases:         r.phases,
-		Waves:          r.waves,
-		PhaseSum:       r.phaseSum,
-		PhaseMax:       r.phaseMax,
-		PhaseTotals:    r.phaseTotals,
-		Canceled:       r.stopped,
-		DomainSteals:   make([]int64, r.nd),
-		DomainMigrated: make([]int64, r.nd),
+	res := Result{Workers: r.n, Domains: r.classes, Canceled: r.stopped}
+	if !r.steal {
+		res.Overhead = r.sysTime
+		res.Migrated = r.migrated
+		res.Phases = r.phases
+		res.Waves = r.waves
+		res.PhaseSum = r.phaseSum
+		res.PhaseMax = r.phaseMax
+		res.PhaseTotals = r.phaseTotals
+		res.DomainMigrated = make([]int64, r.nd)
+		for _, dom := range r.doms {
+			res.DomainMigrated[dom.id] = dom.migrated
+		}
+	}
+	if r.classes > 0 {
+		res.DomainSteals = make([]int64, r.classes)
 	}
 	for _, w := range r.workers {
 		res.Steals += w.steals
-		res.DomainSteals[w.dom] += w.steals
-	}
-	for _, dom := range r.doms {
-		res.DomainMigrated[dom.id] = dom.migrated
+		res.CrossSteals += w.xsteals
+		if r.classes > 0 {
+			res.DomainSteals[w.class] += w.steals
+		}
 	}
 	assemble(&res, wall, r.workers, func(w *hybridWorker) *counters { return &w.counters })
 	return res, r.err
@@ -213,24 +295,24 @@ func runHybrid(cfg *Config, d driver) (Result, error) {
 // loadRoots stages a round's root tasks, exactly like the RIPS
 // strategy: block-distributed apps start with each worker owning its
 // slice, all others start on worker 0 and let the first system phase
-// spread the work across domains (stealing spreads it within).
+// spread the work across domains (stealing spreads it within). Called
+// single-threaded before the workers start, or by the phase leader with
+// the world stopped, when every worker's pending list is empty.
 func (r *hybridRun) loadRoots(round int) {
 	roots := r.cfg.App.Roots(round)
-	push := func(w *hybridWorker, sp app.Spawn) {
-		w.d.push(&task.Task{ID: w.newID(), Origin: w.id, Size: sp.Size, Data: sp.Data})
-		w.generated++
-	}
-	if app.RootsDistributed(r.cfg.App) {
-		for i, w := range r.workers {
-			lo, hi := app.RootBlock(len(roots), r.n, i)
-			for _, sp := range roots[lo:hi] {
-				push(w, sp)
-			}
+	stage := func(w *hybridWorker, roots []app.Spawn) {
+		for _, sp := range roots {
+			w.emit(sp)
 		}
+		w.release()
+	}
+	if !app.RootsDistributed(r.cfg.App) {
+		stage(r.workers[0], roots)
 		return
 	}
-	for _, sp := range roots {
-		push(r.workers[0], sp)
+	for i, w := range r.workers {
+		lo, hi := app.RootBlock(len(roots), r.n, i)
+		stage(w, roots[lo:hi])
 	}
 }
 
@@ -261,14 +343,15 @@ func (r *hybridRun) workerMain(id int) {
 
 // phaseStep runs one complete system phase from w's perspective and
 // reports whether the run continues. The structure is ripsRun's: every
-// worker collapses its own Eager stage before the world stops, the
-// last arrival leads beginPhase, then the staged plan is applied in
-// two-phase waves — here by the domain leaders, every other worker
-// just crossing the sub-barriers.
+// worker releases its own Eager-staged children into its deque before
+// the world stops (nothing is pending under Lazy), the last arrival
+// leads beginPhase, then the staged plan is applied in two-phase waves
+// — here by the domain leaders, every other worker just crossing the
+// sub-barriers.
 func (r *hybridRun) phaseStep(w *hybridWorker, point *int64) bool {
 	*point++
 	perturb(w.id, *point)
-	r.collapseStage(w)
+	w.release()
 	r.bar.await(r.beginFn)
 	if r.done { // leader decision, ordered by the barrier
 		return false
@@ -290,36 +373,22 @@ func (r *hybridRun) phaseStep(w *hybridWorker, point *int64) bool {
 	return true
 }
 
-// collapseStage releases this worker's Eager-staged children into its
-// own deque before the world stops. The staged values are copied into
-// a fresh batch first: the deque holds pointers, and the stage array's
-// backing storage is reused across phases.
-func (r *hybridRun) collapseStage(w *hybridWorker) {
-	if len(w.stage) == 0 {
-		return
-	}
-	batch := make([]task.Task, len(w.stage))
-	copy(batch, w.stage)
-	for i := range batch {
-		w.d.push(&batch[i])
-	}
-	w.stage = w.stage[:0]
-}
-
 // userPhase executes tasks until this phase's transfer condition is
 // met, with one hybrid twist over ripsRun.userPhase: a worker that
 // drains its own deque first tries to steal from its domain-mates, and
 // only a drained DOMAIN participates in transfer detection. Under ANY
 // the request semantics are unchanged (execute at least one task, then
 // honour a published request); under ALL the epoch barrier completes
-// exactly when every worker in every domain has drained.
+// exactly when every worker in every domain has drained. A Steal run
+// is ANY with a detector that never times out: a drained worker sweeps
+// the machine until it finds a task or the drained count completes.
 func (r *hybridRun) userPhase(w *hybridWorker, phase int64, point *int64) {
 	executed := false
 	for {
 		if r.cancel.Load() {
 			return // abort: head straight for the phase barrier
 		}
-		if executed && r.cfg.Global == ripsrt.Any && r.det.requested(phase) {
+		if executed && !r.all && r.det.requested(phase) {
 			return // someone requested the transfer; one task finished since
 		}
 		t := w.d.pop()
@@ -334,7 +403,7 @@ func (r *hybridRun) userPhase(w *hybridWorker, phase int64, point *int64) {
 			}
 		}
 		if t == nil {
-			if r.cfg.Global == ripsrt.All || r.cancel.Load() {
+			if r.all || r.cancel.Load() {
 				return // drained: the ALL local condition holds
 			}
 			// The detector re-sweeps the domain while it waits: mates may
@@ -351,10 +420,10 @@ func (r *hybridRun) userPhase(w *hybridWorker, phase int64, point *int64) {
 	}
 }
 
-// stealLocal sweeps this worker's domain-mates once in random
-// rotation, returning the first stolen task. Unlike the pure Steal
-// strategy's global sweep, the victim set is the domain block — O(n/D)
-// deque probes, all on the domain's own node.
+// stealLocal sweeps the other workers of this worker's domain once in
+// random rotation, returning the first stolen task: O(n/D) deque
+// probes, all on the domain's own node, under Hybrid; the whole machine
+// under Steal, whose one domain it is.
 func (r *hybridRun) stealLocal(w *hybridWorker) *task.Task {
 	dom := r.doms[w.dom]
 	n := dom.size()
@@ -363,13 +432,16 @@ func (r *hybridRun) stealLocal(w *hybridWorker) *task.Task {
 	}
 	off := w.rng.Intn(n)
 	for k := 0; k < n; k++ {
-		v := dom.lo + (off+k)%n
-		if v == w.id {
+		v := r.workers[dom.lo+(off+k)%n]
+		if v == w {
 			continue
 		}
 		for {
-			t, retry := r.workers[v].d.steal()
+			t, retry := v.d.steal()
 			if t != nil {
+				if v.class != w.class {
+					w.xsteals++
+				}
 				return t
 			}
 			if !retry {
@@ -381,41 +453,35 @@ func (r *hybridRun) stealLocal(w *hybridWorker) *task.Task {
 }
 
 // execute runs one task for real and files its children per the local
-// policy. Children land in the reusable scratch buffer through the
-// bound emit closure; the Lazy path then copies them into a fresh
-// batch because the deque keeps pointers into whatever it is handed,
-// while scratch is overwritten by the very next execution.
+// policy. The bound emit closure carves each child's node from the
+// worker's slab and lists it in kids; Lazy (and Steal) then pushes the
+// listed nodes onto the deque, Eager leaves them listed until the next
+// system phase. The busy time is the task alone: two monotonic clock
+// readings against the run's start, with the pushes outside them.
+//
+//ripslint:hotpath alloc
 func (r *hybridRun) execute(w *hybridWorker, t *task.Task) {
 	if t.Origin != w.id {
 		w.nonlocal++
 	}
 	w.executed++
-	w.scratch = w.scratch[:0]
-	start := time.Now()
+	began := time.Since(r.start)
 	vw, res := app.ExecuteCount(r.cfg.App, t.Data, w.emit)
-	w.busy += time.Since(start)
+	w.busy += time.Since(r.start) - began
 	w.vwork += vw
 	w.appResult += res
-	if len(w.scratch) > 0 {
-		w.generated += int64(len(w.scratch))
-		if r.cfg.Local == ripsrt.Eager {
-			w.stage = append(w.stage, w.scratch...)
-		} else {
-			batch := make([]task.Task, len(w.scratch))
-			copy(batch, w.scratch)
-			for i := range batch {
-				w.d.push(&batch[i])
-			}
-		}
+	if !r.eager {
+		w.release()
 	}
 }
 
 // beginPhase runs with the world stopped: it snapshots the per-domain
-// load sums, detects round boundaries (a zero global total — no
-// pending counter is needed because quiescence at the barrier makes
-// the snapshot exact), runs the pure walking algorithm over the
-// domain-level topology and stages the plan. Everything ripsRun's
-// beginPhase does per worker happens here per domain.
+// load sums, detects round boundaries (a zero global total: every
+// worker is parked in the barrier, so no task is in a thief's hand and
+// the deque sizes are exact — the snapshot, not any count kept while
+// workers run, is what ends a round), runs the pure walking algorithm
+// over the domain-level topology and stages the plan. Everything
+// ripsRun's beginPhase does per worker happens here per domain.
 //
 //ripslint:hotpath
 func (r *hybridRun) beginPhase() {
@@ -496,7 +562,7 @@ func (r *hybridRun) beginPhase() {
 		for i := range r.moves {
 			mv := &r.moves[i]
 			r.takeMove(mv)
-			r.pushMove(mv) //ripslint:allow hotpath deque growth amortizes to the high-water mark; small serial plans rarely grow it
+			r.pushMove(mv)
 		}
 		r.moves = r.moves[:0]
 		r.finishPhase()
@@ -530,7 +596,7 @@ func (r *hybridRun) finishPhase() {
 	}
 	r.det.update(r.phaseMoved, r.nd)
 	r.sysTime += time.Since(r.phaseStart)
-	if h := r.cfg.OnPhase; h != nil {
+	if h := r.cfg.OnPhase; h != nil && !r.steal { // a Steal run's crossings are round barriers, not system phases
 		//ripslint:allow hotpath OnPhase observer contract: the hook runs inside the stopped world and is documented to be allocation-conscious
 		h(metrics.PhaseInfo{
 			Phase:   r.phases,

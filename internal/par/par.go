@@ -29,9 +29,11 @@
 //     and the Theorem 1 balance are invariant-checked on every phase.
 //
 // The same backend houses a Chase-Lev-style work-stealing strategy
-// (Steal) over the identical worker/deque layout, so RIPS versus
-// work-stealing is an apples-to-apples wall-clock comparison — the
-// benchmark cmd/ripsbench parscale reports both side by side.
+// (Steal): the Hybrid strategy's deque engine (hybrid.go) run as one
+// domain spanning the machine, so RIPS versus work-stealing is an
+// apples-to-apples wall-clock comparison over one worker layout, one
+// barrier and one detector — the benchmark cmd/ripsbench parscale
+// reports both side by side.
 //
 // Because this backend measures real elapsed time, its files carry
 // file-scope wallclock waivers (see the policy in internal/analysis):
@@ -62,8 +64,11 @@ const (
 	// RIPS alternates user phases with stop-the-world system phases
 	// running the topology's exact walking algorithm.
 	RIPS Strategy = iota
-	// Steal is the work-stealing comparator: no phases, idle workers
-	// steal from the top of random victims' Chase-Lev deques.
+	// Steal is the work-stealing comparator: idle workers steal from the
+	// top of random victims' Chase-Lev deques, anywhere on the machine.
+	// It is the Hybrid engine with a single domain and a detector that
+	// never times out; the barrier it crosses at each round boundary
+	// plans and moves nothing and is not reported as a phase.
 	Steal
 	// Hybrid is the hierarchical combination: workers are partitioned
 	// into affinity domains (NUMA nodes by default, see Config.Domains);
@@ -137,7 +142,8 @@ type Config struct {
 	// DefaultDetectInterval and scales with an EWMA of tasks moved per
 	// system phase, so near-empty phases back off automatically. Only
 	// the timing of phases depends on this; the computed answer never
-	// does.
+	// does. Ignored by Steal: a barrier moves nothing there, so a
+	// drained thief waits for work or for the last worker to drain.
 	DetectInterval time.Duration
 	// ParallelApplyMin is the minimum plan cost (tasks migrated by one
 	// system phase) at which the leader fans plan application out to
@@ -245,7 +251,8 @@ type Result struct {
 	// Overhead is the per-worker scheduling overhead Th. Under RIPS
 	// the system phases stop the world, so every worker pays the full
 	// stop-the-world time; under Steal it is zero (steal overhead is
-	// indistinguishable from idle spinning).
+	// indistinguishable from idle spinning, and its round barriers are
+	// not system phases).
 	Overhead time.Duration
 	// Idle is the per-worker average idle time Ti, derived as
 	// Wall - Overhead - Busy/Workers.
@@ -260,10 +267,11 @@ type Result struct {
 	// only classifies traffic). Zero when the run had no domain notion.
 	Domains int
 	// CrossSteals counts steals whose victim lived in another domain.
-	// Always zero under Hybrid — stealing is confined to the thief's
-	// own domain by construction — and meaningful under Steal with
-	// Config.Domains set, where it isolates the cross-domain traffic
-	// the hybrid strategy eliminates.
+	// Hybrid sweeps only the thief's own domain block, so it is always
+	// zero there; Steal sweeps every other worker of the machine, and
+	// with Config.Domains set this is the share of its steals that
+	// crossed a boundary of that partition — the traffic the hybrid
+	// strategy eliminates.
 	CrossSteals int64
 	// DomainSteals and DomainMigrated break Steals and Migrated down by
 	// domain (the thief's domain; the source domain of a migration).
@@ -365,9 +373,7 @@ func runOn(cfg *Config, d driver) (Result, error) {
 	var res Result
 	var err error
 	switch cfg.Strategy {
-	case Steal:
-		res, err = runSteal(cfg, d)
-	case Hybrid:
+	case Steal, Hybrid:
 		res, err = runHybrid(cfg, d)
 	default:
 		res, err = runRIPS(cfg, d)
@@ -417,8 +423,8 @@ func packID(worker int, seq uint64) uint64 {
 }
 
 // counters is the per-worker accounting every strategy shares. Each
-// worker mutates only its own struct during execution; the barriers
-// (RIPS epoch barrier, Steal round barrier) order the final reads.
+// worker mutates only its own struct during execution; the epoch
+// barrier orders the final reads.
 type counters struct {
 	seq       uint64
 	generated int64

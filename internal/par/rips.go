@@ -71,7 +71,8 @@ type ripsRun struct {
 	// the leader honours it at the next phase boundary, so the barrier
 	// itself never wedges on a canceled run.
 	cancel atomic.Bool
-	// start anchors the Elapsed field of OnPhase snapshots.
+	// start anchors the run's clock readings: the Elapsed field of
+	// OnPhase snapshots and the busy time around every task.
 	start time.Time
 
 	// Phase state below is written only inside barrier callbacks (the
@@ -301,9 +302,9 @@ func (r *ripsRun) execute(w *ripsWorker, tk task.Task) {
 	}
 	w.executed++
 	w.scratch = w.scratch[:0]
-	start := time.Now()
+	began := time.Since(r.start) // monotonic readings only: time.Now would read the wall clock too
 	vw, res := app.ExecuteCount(r.cfg.App, tk.Data, w.emit)
-	w.busy += time.Since(start)
+	w.busy += time.Since(r.start) - began
 	w.vwork += vw
 	w.appResult += res
 	if len(w.scratch) > 0 {
