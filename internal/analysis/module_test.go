@@ -57,37 +57,42 @@ func TestHotpathCoverage(t *testing.T) {
 		hotSet[name] = true
 	}
 	// The steady-state hot set of the real-parallel backend (see
-	// TestSteadyStateZeroAlloc in internal/par): the phase loop, both
-	// leader callbacks, the parallel plan application, and the queue
-	// operations under them.
+	// TestSteadyStateZeroAlloc and TestDequeExecutorAllocs in
+	// internal/par): the one engine's phase loop, both leader callbacks,
+	// the parallel plan application, the steal sweep and the deque
+	// operations under them — proven allocation-free apart from the slab
+	// refill, the pending list's growth and deque.grow.
 	for _, fn := range []string{
-		"par.(*ripsRun).workerMain",
-		"par.(*ripsRun).phaseStep",
-		"par.(*ripsRun).userPhase",
+		"par.(*engineRun).phaseLoop",
+		"par.(*engineRun).phaseStep",
+		"par.(*engineRun).userPhase",
+		"par.(*engineRun).stealLocal",
 		"par.(*detector).await",
 		"par.(*detector).requested",
 		"par.(*detector).current",
-		"par.(*ripsRun).execute",
-		"par.(*ripsRun).beginPhase",
-		"par.(*ripsRun).finishPhase",
+		"par.(*engineRun).execute",
+		"par.(*engineRun).beginPhase",
+		"par.(*engineRun).finishPhase",
 		"par.(*detector).update",
-		"par.(*ripsRun).stageMoves",
-		"par.(*ripsRun).partitionWaves",
-		"par.(*ripsRun).waveRange",
-		"par.(*ripsRun).applyTake",
-		"par.(*ripsRun).applyPush",
-		"par.(*ripsRun).takeMove",
-		"par.(*ripsRun).pushMove",
+		"par.(*engineRun).stageMoves",
+		"par.(*engineRun).ensureXbuf",
+		"par.partitionInWaves",
+		"par.waveBounds",
+		"par.BalancedCanonical",
+		"par.(*engineRun).applyTake",
+		"par.(*engineRun).applyPush",
+		"par.(*engineRun).takeMove",
+		"par.(*engineRun).pushMove",
 		"par.(*epochBarrier).await",
-		"par.(*ripsWorker).newID",
-		"task.(*Queue).PushAll",
-		"task.(*Queue).PushBack",
-		"task.(*Queue).PopFront",
-		"task.(*Queue).TakeBackInto",
-		"task.(*Queue).Len",
-		"task.(*Queue).maybeCompact",
-		"task.(*Queue).grow",
-		"task.(*Queue).compact",
+		"par.(*engineWorker).release",
+		"par.(*engineWorker).newID",
+		"par.(*deque).push",
+		"par.(*deque).pop",
+		"par.(*deque).steal",
+		"par.(*deque).size",
+		"par.(*deque).takeTopInto",
+		"par.(*deque).takeBottomInto",
+		"par.(*deque).copyOut",
 		"invariant.Enabled",
 		"invariant.Conserved",
 		"invariant.BalancedWithinOne",
@@ -97,31 +102,16 @@ func TestHotpathCoverage(t *testing.T) {
 			t.Errorf("hotpath proof does not cover %s (exercised by TestSteadyStateZeroAlloc)", fn)
 		}
 	}
-	// The deque engine's per-task path (Hybrid and Steal), proven
-	// allocation-free apart from the slab refill, the pending list's
-	// growth and deque.grow; TestDequeExecutorAllocs samples the same.
-	for _, fn := range []string{
-		"par.(*hybridRun).execute",
-		"par.(*hybridWorker).release",
-		"par.(*hybridWorker).newID",
-		"par.(*deque).push",
-	} {
-		if !hotSet[fn] {
-			t.Errorf("hotpath proof does not cover %s (exercised by TestDequeExecutorAllocs)", fn)
+	// The emit closure is rooted separately (dynamic call from the
+	// application); it appears as a function literal node.
+	found := false
+	for _, name := range hot {
+		if strings.HasPrefix(name, "par.newEngineRun.func@") {
+			found = true
 		}
 	}
-	// The emit closures are rooted separately (dynamic call from the
-	// application); they appear as function literal nodes.
-	for _, ctor := range []string{"par.newRipsRun", "par.newHybridRun"} {
-		found := false
-		for _, name := range hot {
-			if strings.HasPrefix(name, ctor+".func@") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("hotpath proof does not cover the emit closure of %s (hot set: %d functions)", ctor, len(hot))
-		}
+	if !found {
+		t.Errorf("hotpath proof does not cover the emit closure of par.newEngineRun (hot set: %d functions)", len(hot))
 	}
 	// The simulated backend's map-criterion root.
 	if !hotSet["ripsrt.nodeMain"] {

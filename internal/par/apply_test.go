@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,19 +17,13 @@ import (
 // has yet to deliver, so each move must land in its own wave.
 func TestPartitionWaves(t *testing.T) {
 	cfg := Config{Topo: topo.NewMesh(1, 4), App: queens8()}
-	r := newRipsRun(&cfg)
+	r := newEngineRun(&cfg)
 	copy(r.loads, []int{8, 0, 0, 0})
-	w0 := r.workers[0]
-	ids := map[uint64]bool{}
-	for i := 0; i < 8; i++ {
-		id := w0.newID()
-		ids[id] = true
-		w0.rte.PushBack(task.Task{ID: id, Origin: 0})
-	}
+	ids := pushFresh(r.workers[0], 8)
 
 	chain := []sched.Move{{From: 0, To: 1, Count: 6}, {From: 1, To: 2, Count: 4}, {From: 2, To: 3, Count: 2}}
 	r.stageMoves(chain)
-	r.partitionWaves()
+	r.waveEnds = partitionInWaves(r.moves, r.loads, r.avail, r.pend, r.waveEnds)
 	if len(r.waveEnds) != 3 {
 		t.Fatalf("waveEnds = %v, want one wave per forwarding hop (3)", r.waveEnds)
 	}
@@ -48,24 +43,38 @@ func TestPartitionWaves(t *testing.T) {
 			r.applyPush(w, wv)
 		}
 	}
-	want := []int{2, 2, 2, 2}
-	for i, w := range r.workers {
-		if w.rte.Len() != want[i] {
-			t.Errorf("worker %d holds %d tasks after the chain, want %d", i, w.rte.Len(), want[i])
-		}
-		for {
-			tk, ok := w.rte.PopFront()
-			if !ok {
-				break
-			}
-			if !ids[tk.ID] {
-				t.Errorf("worker %d holds duplicated or unknown task %d", i, tk.ID)
-			}
-			delete(ids, tk.ID)
-		}
+	for _, w := range r.workers {
+		drainKnown(t, w, 2, ids)
 	}
 	if len(ids) != 0 {
 		t.Errorf("%d tasks lost in the forwarding chain", len(ids))
+	}
+}
+
+// pushFresh pushes n new tasks of w's own onto its deque and returns
+// the set of their IDs.
+func pushFresh(w *engineWorker, n int) map[uint64]bool {
+	ids := map[uint64]bool{}
+	for i := 0; i < n; i++ {
+		tk := &task.Task{ID: w.newID(), Origin: w.id}
+		ids[tk.ID] = true
+		w.d.push(tk)
+	}
+	return ids
+}
+
+// drainKnown empties w's deque, which must hold exactly want tasks,
+// each of them still in ids; it strikes out the ones it finds.
+func drainKnown(t *testing.T, w *engineWorker, want int, ids map[uint64]bool) {
+	t.Helper()
+	if got := int(w.d.size()); got != want {
+		t.Errorf("worker %d holds %d tasks, want %d", w.id, got, want)
+	}
+	for tk := w.d.pop(); tk != nil; tk = w.d.pop() {
+		if !ids[tk.ID] {
+			t.Errorf("worker %d holds duplicated or unknown task %d", w.id, tk.ID)
+		}
+		delete(ids, tk.ID)
 	}
 }
 
@@ -84,21 +93,15 @@ func TestParallelApplyConcurrent(t *testing.T) {
 	} {
 		t.Run(tp.Name(), func(t *testing.T) {
 			cfg := Config{Topo: tp, App: queens8(), ParallelApplyMin: -1}
-			r := newRipsRun(&cfg)
+			r := newEngineRun(&cfg)
 			n := tp.Size()
 			const total = 203 // awkward remainder so quotas differ by one
-			ids := map[uint64]bool{}
-			w0 := r.workers[0]
-			for i := 0; i < total; i++ {
-				id := w0.newID()
-				ids[id] = true
-				w0.rte.PushBack(task.Task{ID: id, Origin: 0})
-			}
+			ids := pushFresh(r.workers[0], total)
 
 			var wg sync.WaitGroup
 			for _, w := range r.workers {
 				wg.Add(1)
-				go func(w *ripsWorker) {
+				go func(w *engineWorker) {
 					defer wg.Done()
 					var point int64
 					if !r.phaseStep(w, &point) {
@@ -116,19 +119,7 @@ func TestParallelApplyConcurrent(t *testing.T) {
 				if i < total%n {
 					quota++
 				}
-				if w.rte.Len() != quota {
-					t.Errorf("worker %d holds %d tasks, want canonical quota %d", i, w.rte.Len(), quota)
-				}
-				for {
-					tk, ok := w.rte.PopFront()
-					if !ok {
-						break
-					}
-					if !ids[tk.ID] {
-						t.Errorf("worker %d holds duplicated or unknown task %d", i, tk.ID)
-					}
-					delete(ids, tk.ID)
-				}
+				drainKnown(t, w, quota, ids)
 			}
 			if len(ids) != 0 {
 				t.Errorf("%d tasks lost by the parallel apply", len(ids))
@@ -146,10 +137,10 @@ func TestApplyModesAgree(t *testing.T) {
 	checkQueens8(t, ref, "RIPS default apply")
 
 	serial := base
-	serial.SerialApply = true
+	serial.ParallelApplyMin = math.MaxInt
 	sres := mustRun(t, serial)
 	if sres.Waves != 0 {
-		t.Errorf("SerialApply fanned out %d waves", sres.Waves)
+		t.Errorf("ParallelApplyMin = MaxInt fanned out %d waves", sres.Waves)
 	}
 
 	forced := base

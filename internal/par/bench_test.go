@@ -1,13 +1,14 @@
 package par
 
 import (
+	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rips/internal/app"
+	"rips/internal/ripsrt"
 	"rips/internal/sched"
 	"rips/internal/sim"
 	"rips/internal/task"
@@ -54,43 +55,44 @@ func (a *benchApp) Execute(data any, emit func(app.Spawn)) sim.Time {
 	return 1
 }
 
-// TestSteadyStateZeroAlloc is the zero-allocation contract of the RIPS
-// hot path: once the reusable buffers are warm, executing tasks,
-// running a balanced system phase, and applying a staged plan through
-// the exchange buffers must not allocate at all. The planner itself is
-// excluded from the contract (it builds fresh trace vectors per call;
-// see DESIGN.md §9) — which is why the balanced fast path matters: it
-// is the steady state, and it skips the planner entirely.
+// TestSteadyStateZeroAlloc is the allocation contract of the engine's
+// hot path under RIPS: once the reusable buffers are warm, running a
+// balanced system phase and applying a staged plan through the exchange
+// buffers must not allocate at all, and executing tasks allocates the
+// slab chunks their children's nodes are carved from and nothing else.
+// The planner itself is excluded from the contract (it builds fresh
+// trace vectors per call; see DESIGN.md §9) — which is why the balanced
+// fast path matters: it is the steady state, and it skips the planner
+// entirely.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("execute", func(t *testing.T) {
-		cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, 8)}
-		r := newRipsRun(&cfg)
-		w := r.workers[0]
-		root := cfg.App.(*benchApp).root
-		drain := func() {
-			for {
-				if _, ok := w.rte.PopFront(); !ok {
-					return
+		const fanout, perRun = 8, slabSize // perRun executions carve exactly fanout chunks
+		for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
+			cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, fanout), Local: local}
+			r := newEngineRun(&cfg)
+			w := r.workers[0]
+			root := &task.Task{Data: cfg.App.(*benchApp).root}
+			body := func() {
+				for i := 0; i < perRun; i++ {
+					r.execute(w, root)
+					for tk, _ := w.d.steal(); tk != nil; tk, _ = w.d.steal() {
+					}
+					w.kids = w.kids[:0] // Eager leaves the children listed for the next phase
 				}
 			}
-		}
-		body := func() {
-			r.execute(w, task.Task{Origin: 0, Data: root})
-			drain()
-		}
-		body() // warm scratch and queue capacity
-		if avg := testing.AllocsPerRun(200, body); avg != 0 {
-			t.Errorf("execute hot path allocates %.1f times per task", avg)
+			body() // warm the pending list
+			if avg := testing.AllocsPerRun(20, body); avg > fanout {
+				t.Errorf("%s: %d executions of a %d-fanout task allocate %.0f times, want the %d slab chunks only",
+					local, perRun, fanout, avg, fanout)
+			}
 		}
 	})
 
 	t.Run("balanced-phase", func(t *testing.T) {
 		cfg := Config{Topo: topo.NewMesh(2, 2), App: newBenchApp(1, 2)}
-		r := newRipsRun(&cfg)
+		r := newEngineRun(&cfg)
 		for _, w := range r.workers {
-			for k := 0; k < 8; k++ {
-				w.rte.PushBack(task.Task{ID: w.newID(), Origin: w.id})
-			}
+			pushFresh(w, 8)
 		}
 		body := func() { r.beginPhase() } // balanced: snapshot + invariants, no planner
 		body()
@@ -101,12 +103,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 	t.Run("apply", func(t *testing.T) {
 		cfg := Config{Topo: topo.NewMesh(1, 2), App: newBenchApp(1, 2)}
-		r := newRipsRun(&cfg)
+		r := newEngineRun(&cfg)
 		const k = 64
-		w0 := r.workers[0]
-		for i := 0; i < 2*k; i++ {
-			w0.rte.PushBack(task.Task{ID: w0.newID(), Origin: 0})
-		}
+		pushFresh(r.workers[0], 2*k)
 		fwd := []sched.Move{{From: 0, To: 1, Count: k}}
 		back := []sched.Move{{From: 1, To: 0, Count: k}}
 		apply := func(ms []sched.Move, l0, l1 int) {
@@ -114,7 +113,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			r.moves = r.moves[:0]
 			r.waveEnds = r.waveEnds[:0]
 			r.stageMoves(ms)
-			r.partitionWaves()
+			r.waveEnds = partitionInWaves(r.moves, r.loads, r.avail, r.pend, r.waveEnds)
 			for wv := 0; wv < len(r.waveEnds); wv++ {
 				r.applyTake(r.workers[0], wv)
 				r.applyTake(r.workers[1], wv)
@@ -126,61 +125,57 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			apply(fwd, 2*k, 0)
 			apply(back, k, k)
 		}
-		body() // warm move list, wave list, exchange buffers, queues
+		body() // warm move list, wave list, exchange buffers, deque rings
 		if avg := testing.AllocsPerRun(100, body); avg != 0 {
 			t.Errorf("staged plan application allocates %.1f times per phase", avg)
 		}
 	})
 }
 
-// BenchmarkExecute measures the per-task user-phase cost: run one
-// 8-fanout task and pop its children back off the queue.
+// BenchmarkExecute measures the per-task user-phase cost under RIPS:
+// run one 8-fanout task and take its children back off the deque,
+// oldest first.
 func BenchmarkExecute(b *testing.B) {
 	cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, 8)}
-	r := newRipsRun(&cfg)
+	r := newEngineRun(&cfg)
 	w := r.workers[0]
-	root := cfg.App.(*benchApp).root
+	root := &task.Task{Data: cfg.App.(*benchApp).root}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.execute(w, task.Task{Origin: 0, Data: root})
-		for {
-			if _, ok := w.rte.PopFront(); !ok {
-				break
-			}
+		r.execute(w, root)
+		for tk, _ := w.d.steal(); tk != nil; tk, _ = w.d.steal() {
 		}
 	}
 }
 
 // BenchmarkExchange measures the batched-migration primitive: a
-// round trip of 1024 tasks between two queues through a persistent
-// exchange buffer (TakeBackInto + PushAll each way).
+// round trip of 1024 tasks between two deques through a persistent
+// exchange buffer (takeBottomInto + bulk push each way).
 func BenchmarkExchange(b *testing.B) {
 	const k = 1024
-	var q0, q1 task.Queue
-	for i := 0; i < k; i++ {
-		q0.PushBack(task.Task{ID: uint64(i)})
-	}
-	buf := make([]task.Task, k)
+	d0, d1 := newDeque(), newDeque()
+	d0.push(syntheticTasks(k)...)
+	buf := make([]*task.Task, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got := q0.TakeBackInto(buf)
-		q1.PushAll(buf[:got])
-		got = q1.TakeBackInto(buf)
-		q0.PushAll(buf[:got])
+		got := d0.takeBottomInto(buf)
+		d1.push(buf[:got]...)
+		got = d1.takeBottomInto(buf)
+		d0.push(buf[:got]...)
 	}
 }
 
 // BenchmarkSystemPhase measures one full stop-the-world system phase on
 // a 16-worker mesh with a heavily skewed load (even workers hold 4096
 // tasks, odd workers none), comparing the serial leader-only plan
-// application against the waved parallel apply. This is the tentpole's
-// headline number; ripsbench parscale -json records it in
-// BENCH_par.json alongside the machine's core count.
+// application against the waved parallel apply; ripsbench parscale
+// -json records it in BENCH_par.json alongside the machine's core
+// count.
 func BenchmarkSystemPhase(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		benchmarkSystemPhase(b, Config{SerialApply: true})
+		benchmarkSystemPhase(b, Config{ParallelApplyMin: math.MaxInt})
 	})
 	b.Run("parallel", func(b *testing.B) {
 		benchmarkSystemPhase(b, Config{ParallelApplyMin: -1})
@@ -190,35 +185,16 @@ func BenchmarkSystemPhase(b *testing.B) {
 func benchmarkSystemPhase(b *testing.B, cfg Config) {
 	cfg.Topo = topo.NewMesh(4, 4)
 	cfg.App = newBenchApp(1, 2)
-	r := newRipsRun(&cfg)
-	const perWorker = 2048
-	fill := func() {
-		for _, w := range r.workers {
-			w.rte.Clear()
-			if w.id%2 == 0 {
-				for k := 0; k < 2*perWorker; k++ {
-					w.rte.PushBack(task.Task{Origin: w.id})
-				}
-			}
-		}
-	}
-	fill() // pre-grow the queues
+	r := newEngineRun(&cfg)
+	load := syntheticTasks(4096)
+	r.fillSkewed(load) // pre-grow the deque rings
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fill()
+		r.fillSkewed(load)
 		b.StartTimer()
-		var wg sync.WaitGroup
-		for _, w := range r.workers {
-			wg.Add(1)
-			go func(w *ripsWorker) {
-				defer wg.Done()
-				var point int64
-				r.phaseStep(w, &point)
-			}(w)
-		}
-		wg.Wait()
+		r.phaseOnce()
 	}
 }
 

@@ -50,16 +50,22 @@ func (d *deque) size() int64 {
 	return n
 }
 
-// push appends t at the bottom. Owner only.
-func (d *deque) push(t *task.Task) {
+// push appends ts at the bottom in order and publishes them to thieves
+// with one store of bottom, however many there are. Owner only.
+func (d *deque) push(ts ...*task.Task) {
+	if len(ts) == 0 {
+		return
+	}
 	b := d.bottom.Load()
 	tp := d.top.Load()
 	r := d.buf.Load()
-	if b-tp >= int64(len(r.slots)) {
+	for b-tp+int64(len(ts)) > int64(len(r.slots)) {
 		r = d.grow(r, tp, b) //ripslint:allow hotpath the ring doubles to the deque's high-water mark and is kept for the run; growth amortizes to zero
 	}
-	r.slots[b&r.mask].Store(t)
-	d.bottom.Store(b + 1)
+	for i, t := range ts {
+		r.slots[(b+int64(i))&r.mask].Store(t)
+	}
+	d.bottom.Store(b + int64(len(ts)))
 }
 
 // grow doubles the ring, copying the live window. Owner only; thieves
@@ -100,26 +106,36 @@ func (d *deque) pop() *task.Task {
 
 // takeTopInto removes up to len(dst) tasks from the top — the steal
 // end, so the oldest and typically largest subtrees leave first — into
-// dst, returning the count taken. Quiescent use only: the hybrid
-// system phases call it with the world stopped at the epoch barrier,
-// so no owner or thief is concurrently operating and the plain
-// top-store needs no CAS.
+// dst, returning the count taken. Quiescent use only: the system phases
+// call it with the world stopped at the epoch barrier, so no owner or
+// thief is concurrently operating and the plain top-store needs no CAS.
 func (d *deque) takeTopInto(dst []*task.Task) int {
 	tp := d.top.Load()
-	b := d.bottom.Load()
-	n := b - tp
-	if n <= 0 {
-		return 0
-	}
-	if n > int64(len(dst)) {
-		n = int64(len(dst))
-	}
-	r := d.buf.Load()
-	for i := int64(0); i < n; i++ {
-		dst[i] = r.slots[(tp+i)&r.mask].Load()
-	}
+	n := d.copyOut(dst, tp, d.bottom.Load())
 	d.top.Store(tp + n)
 	return int(n)
+}
+
+// takeBottomInto removes up to len(dst) tasks from the bottom — the
+// owner's end, the newest — into dst in deque order (dst's last element
+// was the bottom), returning the count taken. Quiescent use only, like
+// takeTopInto.
+func (d *deque) takeBottomInto(dst []*task.Task) int {
+	b := d.bottom.Load()
+	n := d.copyOut(dst, max(d.top.Load(), b-int64(len(dst))), b)
+	d.bottom.Store(b - n)
+	return int(n)
+}
+
+// copyOut copies the tasks at indices [lo, hi), as many of them as dst
+// holds, into dst and returns how many.
+func (d *deque) copyOut(dst []*task.Task, lo, hi int64) int64 {
+	n := max(0, min(hi-lo, int64(len(dst))))
+	r := d.buf.Load()
+	for i := int64(0); i < n; i++ {
+		dst[i] = r.slots[(lo+i)&r.mask].Load()
+	}
+	return n
 }
 
 // steal removes and returns the top task. A nil task with retry=true

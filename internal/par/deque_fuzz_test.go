@@ -33,27 +33,44 @@ func (r *refDeque) steal() (uint64, bool) {
 	return id, true
 }
 
+// takeBottom removes the last min(n, len) IDs and returns them in order.
+func (r *refDeque) takeBottom(n int) []uint64 {
+	cut := max(0, len(r.ids)-n)
+	out := r.ids[cut:]
+	r.ids = r.ids[:cut]
+	return out
+}
+
 // dequeOps decodes one fuzz input into an operation stream: each byte
-// below 170 pushes 1-7 tasks, bytes in [170,213) pop, the rest steal.
-// The same stream drives both fuzz phases so every corpus entry
-// exercises the sequential model check and the concurrent
-// exactly-once check.
+// below 140 pushes 1-7 tasks one call each, bytes in [140,170) push a
+// batch of 1-146 in one call, [170,213) pop, [213,240) steal — which is
+// also how a worker nobody steals from takes its own oldest task — and
+// the rest take the newest 1-16 in bulk. The same stream drives both
+// fuzz phases so every corpus entry exercises the sequential model
+// check and the concurrent exactly-once check.
 const (
+	opBulkByte  = 140
 	opPopByte   = 170
 	opStealByte = 213
+	opTakeByte  = 240
 )
+
+// bulkLen is the batch size a bulk-push byte encodes; the largest is
+// more than twice minDequeCap, so one call can grow the ring twice.
+func bulkLen(b byte) int { return int(b-opBulkByte)*5 + 1 }
 
 // FuzzDeque cross-checks the lock-free work-stealing deque against
 // the reference model, in two phases per input.
 //
-// Phase A replays the operation stream sequentially — push and pop as
-// the owner, steal as a lone thief — and requires the exact IDs the
-// model produces: LIFO at the bottom, FIFO at the top, empty answers
-// included.
+// Phase A replays the operation stream sequentially — push, bulk push,
+// pop and the quiescent bulk take as the owner, steal as a lone thief —
+// and requires the exact IDs the model produces: LIFO at the bottom,
+// FIFO at the top, empty answers included.
 //
 // Phase B replays the same stream with real concurrency: the owner
-// runs its push/pop ops on one goroutine while 1-4 thieves (decoded
-// from the first byte) steal continuously. Linearizability of the
+// runs its push/bulk-push/pop ops on one goroutine while 1-4 thieves
+// (decoded from the first byte) steal continuously; the bulk take is
+// for a stopped world and sits this phase out. Linearizability of the
 // top-CAS protocol shows up as two checkable facts: every pushed task
 // is claimed by exactly one party (no loss, no duplication — what lets
 // the deque engine end a round on a barrier snapshot of empty deques
@@ -70,6 +87,10 @@ func FuzzDeque(f *testing.F) {
 	f.Add([]byte{2, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 255, 255})
 	// Alternating push/pop around empty, the pop-vs-steal CAS window.
 	f.Add([]byte{1, 7, 170, 170, 7, 213, 213, 7, 170, 213})
+	// A fifo worker's life: batches in, oldest out, newest exported.
+	f.Add([]byte{2, 145, 213, 213, 250, 6, 214, 255, 255, 169, 240, 213})
+	// One batch that doubles the ring twice, then both ends drained.
+	f.Add([]byte{3, 169, 169, 245, 180, 220, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzDequeSequential(t, data)
@@ -83,19 +104,27 @@ func fuzzDequeSequential(t *testing.T, data []byte) {
 	var next uint64
 	for i, b := range data {
 		switch {
-		case b < opPopByte:
+		case b < opBulkByte:
 			for k := byte(0); k <= b%7; k++ {
 				next++
 				d.push(&task.Task{ID: next})
 				ref.push(next)
 			}
+		case b < opPopByte:
+			batch := make([]*task.Task, bulkLen(b))
+			for k := range batch {
+				next++
+				batch[k] = &task.Task{ID: next}
+				ref.push(next)
+			}
+			d.push(batch...)
 		case b < opStealByte:
 			got := d.pop()
 			want, ok := ref.pop()
 			if (got != nil) != ok || (got != nil && got.ID != want) {
 				t.Fatalf("op %d: pop = %v, model says (%d, %v)", i, got, want, ok)
 			}
-		default:
+		case b < opTakeByte:
 			got, retry := d.steal()
 			if retry {
 				t.Fatalf("op %d: sequential steal asked to retry", i)
@@ -103,6 +132,17 @@ func fuzzDequeSequential(t *testing.T, data []byte) {
 			want, ok := ref.steal()
 			if (got != nil) != ok || (got != nil && got.ID != want) {
 				t.Fatalf("op %d: steal = %v, model says (%d, %v)", i, got, want, ok)
+			}
+		default:
+			dst := make([]*task.Task, int(b-opTakeByte)+1)
+			want := ref.takeBottom(len(dst))
+			if got := d.takeBottomInto(dst); got != len(want) {
+				t.Fatalf("op %d: takeBottomInto(%d) = %d, model says %d", i, len(dst), got, len(want))
+			}
+			for k, id := range want {
+				if dst[k].ID != id {
+					t.Fatalf("op %d: takeBottomInto[%d] = ID %d, model says %d", i, k, dst[k].ID, id)
+				}
 			}
 		}
 	}
@@ -171,11 +211,18 @@ func fuzzDequeConcurrent(t *testing.T, data []byte) {
 	var next uint64
 	for _, b := range data {
 		switch {
-		case b < opPopByte:
+		case b < opBulkByte:
 			for k := byte(0); k <= b%7; k++ {
 				next++
 				d.push(&task.Task{ID: next})
 			}
+		case b < opPopByte:
+			batch := make([]*task.Task, bulkLen(b))
+			for k := range batch {
+				next++
+				batch[k] = &task.Task{ID: next}
+			}
+			d.push(batch...)
 		case b < opStealByte:
 			if tk := d.pop(); tk != nil && !claim(tk, -1) {
 				t.Errorf("owner popped ID %d already claimed", tk.ID)

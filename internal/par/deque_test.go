@@ -50,6 +50,93 @@ func TestDequeStealFIFO(t *testing.T) {
 	}
 }
 
+// TestDequeOwnerFIFO is the pop order of a worker nobody steals from:
+// the owner claims from the top with steal, oldest first, while it keeps
+// pushing at the bottom — across ring wrap-around and growth, and with
+// no claim ever asked to retry.
+func TestDequeOwnerFIFO(t *testing.T) {
+	d := newDeque()
+	var pushed, popped uint64
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 9; i++ { // nine in, four out: the window grows past minDequeCap and wraps
+			d.push(&task.Task{ID: pushed})
+			pushed++
+		}
+		for i := 0; i < 4; i++ {
+			tk, retry := d.steal()
+			if retry || tk == nil || tk.ID != popped {
+				t.Fatalf("owner-side steal = (%v, %v), want ID %d and no retry", tk, retry, popped)
+			}
+			popped++
+		}
+	}
+	if got := d.size(); got != int64(pushed-popped) {
+		t.Fatalf("size = %d, want %d", got, pushed-popped)
+	}
+}
+
+// TestDequeBulkPush pushes batches in one call: order is kept, a batch
+// larger than twice the ring grows it as often as it takes, and an empty
+// batch is a no-op.
+func TestDequeBulkPush(t *testing.T) {
+	d := newDeque()
+	d.push()
+	if d.size() != 0 {
+		t.Fatalf("empty push left %d tasks", d.size())
+	}
+	var next uint64
+	for _, n := range []int{3, 5 * minDequeCap, 1, 40} {
+		batch := make([]*task.Task, n)
+		for i := range batch {
+			batch[i] = &task.Task{ID: next}
+			next++
+		}
+		d.push(batch...)
+	}
+	if got := d.size(); got != int64(next) {
+		t.Fatalf("size = %d after bulk pushes, want %d", got, next)
+	}
+	if tk := d.pop(); tk == nil || tk.ID != next-1 {
+		t.Fatalf("pop = %v, want the last task pushed (ID %d)", tk, next-1)
+	}
+	for want := uint64(0); want < next-1; want++ {
+		if tk, _ := d.steal(); tk == nil || tk.ID != want {
+			t.Fatalf("steal = %v, want ID %d", tk, want)
+		}
+	}
+}
+
+// TestTakeBottomInto unit-tests the quiescent bulk take of a fifo
+// worker's export: the newest tasks leave, in deque order, the oldest
+// stay for the owner, and over-asking takes exactly what is there.
+func TestTakeBottomInto(t *testing.T) {
+	d := newDeque()
+	tasks := make([]task.Task, 6)
+	for i := range tasks {
+		tasks[i] = task.Task{ID: uint64(i)}
+		d.push(&tasks[i])
+	}
+	dst := make([]*task.Task, 4)
+	if got := d.takeBottomInto(dst); got != 4 {
+		t.Fatalf("takeBottomInto(4 of 6) = %d", got)
+	}
+	for i := 0; i < 4; i++ {
+		if dst[i].ID != uint64(i+2) {
+			t.Errorf("taken[%d].ID = %d, want %d (the newest four, in deque order)", i, dst[i].ID, i+2)
+		}
+	}
+	if tk, _ := d.steal(); tk == nil || tk.ID != 0 {
+		t.Errorf("owner-side steal after bulk take = %v, want ID 0 (the oldest stays)", tk)
+	}
+	big := make([]*task.Task, 8)
+	if got := d.takeBottomInto(big); got != 1 || big[0].ID != 1 {
+		t.Errorf("takeBottomInto(8 of 1) = %d, big[0]=%v; want 1 task with ID 1", got, big[0])
+	}
+	if got := d.takeBottomInto(big); got != 0 {
+		t.Errorf("takeBottomInto(empty) = %d, want 0", got)
+	}
+}
+
 // TestDequeConcurrent has one owner pushing and popping against
 // several thieves; every task must be consumed exactly once. Run
 // under -race this also proves the memory-ordering discipline.

@@ -134,7 +134,7 @@ func TestDetectorWakes(t *testing.T) {
 // back with the task, uncounted, and without requesting a phase.
 func TestDetectorStealLeavesDrained(t *testing.T) {
 	cfg := Config{Topo: topo.NewMesh(1, 2), App: queens8(), Strategy: Hybrid, Domains: 1, DetectInterval: time.Hour}
-	r := newHybridRun(&cfg)
+	r := newEngineRun(&cfg)
 	thief, victim := r.workers[0], r.workers[1]
 	var got *task.Task
 	returned := make(chan struct{})
@@ -167,7 +167,7 @@ func TestDetectorStealLeavesDrained(t *testing.T) {
 func TestHybridDrainedCountBounded(t *testing.T) {
 	for _, domains := range []int{1, 2} {
 		cfg := Config{Topo: topo.NewMesh(2, 2), App: nqueens.New(12, 4), Strategy: Hybrid, Domains: domains, DetectInterval: time.Hour}
-		r := newHybridRun(&cfg)
+		r := newEngineRun(&cfg)
 		over := 0
 		r.beginFn = func() {
 			empty := 0

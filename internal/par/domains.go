@@ -69,12 +69,14 @@ func workerDomains(blocks [][2]int, workers int) []int {
 	return domOf
 }
 
-// domainTopology mirrors the machine kind at domain granularity, so a
-// hybrid run balances across domains with the same walking algorithm
-// the pure-RIPS run uses across nodes — and intra-domain edges, which
-// hybrid handles by stealing instead, simply do not exist in the
-// virtual mesh the planner sees.
-func domainTopology(machine topo.Topology, nd int) topo.Topology {
+// MirrorTopology returns the nd-node topology of the machine's own
+// family that a coordinator plans over when the machine's nodes are
+// groups (affinity domains in-process, whole processes in a cluster)
+// rather than single workers: the same walking algorithm balances
+// across groups that a pure-RIPS run uses across nodes — and the edges
+// inside a group, which stealing handles instead, simply do not exist
+// in the virtual machine the planner sees.
+func MirrorTopology(machine topo.Topology, nd int) topo.Topology {
 	switch machine.(type) {
 	case *topo.Tree:
 		return topo.NewTree(nd)

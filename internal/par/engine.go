@@ -1,0 +1,894 @@
+//ripslint:allow-file wallclock the real-parallel backend measures actual elapsed time by design; scheduling decisions depend only on task counts, never on the clock
+
+package par
+
+import (
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"time"
+
+	"rips/internal/app"
+	"rips/internal/invariant"
+	"rips/internal/metrics"
+	"rips/internal/ripsrt"
+	"rips/internal/sched"
+	"rips/internal/task"
+	"rips/internal/topo"
+)
+
+// This file is the one phase engine behind all three strategies: the
+// paper's system-phase protocol (stop at the epoch barrier, snapshot,
+// plan with the walking algorithm, apply, resume) over affinity
+// domains, with Chase-Lev work stealing inside each domain. Workers are
+// partitioned into contiguous domain blocks; during user phases an idle
+// worker steals only from its domain-mates, and in a system phase the
+// leader snapshots per-DOMAIN load sums, plans over the domain-level
+// machine with the unchanged walking algorithms, and the domain leaders
+// apply the plan by moving tasks between domains' deques. Imbalance
+// inside a domain needs no planning: the deques absorb it continuously.
+//
+// Hybrid is the general case: the domains are the machine's NUMA nodes
+// (or Config.Domains), workers pin to them, and the planner sees a
+// mirror of the machine's topology family at domain granularity.
+//
+// RIPS is the engine at one-worker domains: nobody to steal from, the
+// planner sees Config.Topo itself, nothing is pinned. A worker without
+// domain-mates pops its OLDEST task and exports its NEWEST (see
+// engineWorker.fifo) — the one difference from the stealing domains
+// that turned out to be essential.
+//
+// Steal is the engine at one domain: the victims are the whole machine,
+// so there is never anything to plan, and the detector never times out,
+// so the barrier is crossed only when the worker completing the drained
+// count asks for it — at a round boundary, or one crossing early when
+// that count was read stale (see detector.drained). The barrier's
+// zero-total snapshot, taken with the world stopped, is what advances
+// the round and ends the run; a task in a deque or in a thief's hand
+// can therefore never be left behind. A Steal run reports none of this
+// as phases: to its caller a crossing is a round barrier.
+
+// slabSize is the number of task nodes a worker carves from one
+// allocation. Deques hold pointers, so every task needs a node that
+// outlives the execution that spawned it; taking them from a per-worker
+// bump slab makes that one allocation per slabSize tasks.
+const slabSize = 256
+
+// engineWorker is one worker's private state: a Chase-Lev deque the
+// workers of its domain may steal from, the slab its task nodes come
+// from, and the list of nodes not yet pushed.
+type engineWorker struct {
+	counters
+	id  int
+	dom int // index into engineRun.doms: whom it steals from and balances with
+	// class is the domain its steals are accounted to in the Result: dom
+	// under Hybrid, the Config.Domains classification under Steal (whose
+	// single engine domain is the whole machine).
+	class int
+	// fifo is set on a worker that has no domain-mates and is balanced by
+	// count (every RIPS worker; a Hybrid worker alone in its domain). It
+	// takes its own tasks from the top of its deque, oldest first, and a
+	// system phase exports from the bottom, newest first. Popping newest
+	// first keeps a deque a few tasks deep however much work hangs below
+	// them, so a count snapshot says nothing and the planner moves almost
+	// nothing (par_fine at W = 2: 168 phases migrating 608 tasks, against
+	// 24 migrating 10 585); oldest first, the count tracks the work left.
+	// Workers with mates keep depth-first order: stealing, not the count,
+	// balances them. Derived from the run, never configured.
+	fifo bool
+	d    *deque
+	// slab is the chunk nodes are being carved from, len(slab) of them
+	// so far. Only its owner appends (the phase leader too, for roots,
+	// with the world stopped). A full chunk is dropped, not recycled: its
+	// nodes sit in deques and thieves' hands for as long as they take, so
+	// a chunk lives until the last of its nodes is unreachable — which
+	// may be rounds after the one that filled it.
+	slab []task.Task
+	// kids are the nodes emitted but not yet in the deque, in emission
+	// order: the children of the task in hand, and under the Eager local
+	// policy everything staged since the last system phase. The array is
+	// reused.
+	kids []*task.Task
+	emit func(app.Spawn)
+	// sweep is stealLocal bound to this worker once, so handing it to the
+	// detector as its poll on every drain allocates nothing; rng rotates
+	// the victims and never affects the answer. Both are nil on a worker
+	// without mates, which has nobody to steal from: seeding a source is
+	// a 5 KB allocation a sub-millisecond job would notice.
+	sweep  func() *task.Task
+	rng    *rand.Rand
+	steals int64
+	// xsteals counts steals whose victim is of another class: none under
+	// Hybrid by construction, the cross-domain traffic under Steal.
+	xsteals int64
+}
+
+func (w *engineWorker) newID() uint64 {
+	w.seq++
+	return packID(w.id, w.seq)
+}
+
+// release pushes the pending nodes onto the worker's own deque, where
+// the owner pops them and thieves may take them. Owner only, or the
+// phase leader with the world stopped.
+func (w *engineWorker) release() {
+	w.d.push(w.kids...)
+	w.kids = w.kids[:0]
+}
+
+// engineDomain is one contiguous worker block [lo, hi) acting as a
+// single node of the phase protocol. Worker lo is the domain leader: it
+// alone executes the domain's take and push halves of plan application,
+// on its pinned thread.
+type engineDomain struct {
+	id     int
+	lo, hi int
+	// cpus is the affinity CPU set the domain's workers pin to; empty
+	// under RIPS and Steal, and on machines without a visible multi-node
+	// topology, where pinning to the whole machine would be a no-op
+	// constraint.
+	cpus []int
+	// xbuf is the domain's migration exchange buffer: each system phase
+	// stages the task pointers this domain exports into disjoint
+	// regions of xbuf, reusing the array across phases. On the parallel
+	// path it is grown by the domain leader on its pinned thread, so
+	// the backing array is first-touched on the domain's own node.
+	// xneed is the phase's required length, staged by the global leader
+	// with the world stopped. Writers: the domain leader during the take
+	// half (or the global leader when it applies alone). Readers: each
+	// move's destination leader during the push half, ordered by the
+	// exchange sub-barrier.
+	xbuf     []*task.Task
+	xneed    int
+	migrated int64
+}
+
+func (d *engineDomain) size() int { return d.hi - d.lo }
+
+// applyMove is one plan move staged for application: count tasks from
+// domain from to domain to, parked in from's exchange buffer at
+// [off, off+count). got is the number actually taken — written by the
+// taker, read by the pusher across the exchange sub-barrier.
+type applyMove struct {
+	from, to, count int
+	off             int
+	got             int
+}
+
+// engineRun is the shared state of one run. Loads, plans, waves and
+// exchange buffers are all indexed by domain, and nd (not n) bounds the
+// planner's problem size.
+type engineRun struct {
+	cfg     *Config
+	n, nd   int
+	workers []*engineWorker
+	doms    []*engineDomain
+	dtopo   topo.Topology // the machine the planner sees, one node per domain
+	bar     *epochBarrier
+
+	// steal marks a Steal run: one domain, a detector without a timeout,
+	// and a Result that reports no phases. eager and all are the transfer
+	// policy, which Steal ignores (children go straight to the deque, and
+	// only the drained count requests a barrier). classes is the number
+	// of domains steals are broken down by in the Result: nd under
+	// Hybrid, the resolved Config.Domains under Steal, zero without.
+	steal, eager, all bool
+	classes           int
+
+	// beginFn/endFn are the leader callbacks bound once: passing a fresh
+	// method value to await on every phase would allocate on the hot
+	// path.
+	beginFn, endFn func()
+
+	// cancel is the abort flag mirrored from Config.Cancel by a watcher
+	// goroutine (see watchCancel); workers poll it between tasks and the
+	// leader honours it at the next phase boundary, so the barrier itself
+	// never wedges on a canceled run.
+	cancel atomic.Bool
+	// start anchors every clock read of the run: the Elapsed field of
+	// OnPhase snapshots, and the busy time around a task as the
+	// difference of two monotonic readings against it.
+	start time.Time
+	// pinned counts workers that successfully pinned to their domain's
+	// CPUs; the remainder run unpinned by the fallback contract.
+	pinned atomic.Int64
+
+	// Phase state below is written only inside barrier callbacks (the
+	// world is stopped) or read by workers between barriers; the
+	// barrier's mutex hand-off orders every access.
+	round      int
+	done       bool
+	stopped    bool // done because of cancellation, not completion
+	err        error
+	phases     int64
+	migrated   int64
+	waves      int64
+	sysTime    time.Duration
+	phaseStart time.Time
+	phaseTotal int // global task total snapshotted by the phase in flight
+	phaseMoved int // tasks the phase in flight migrates (plan cost)
+
+	// Bounded phase-total summary; the full per-phase trace is recorded
+	// only under Config.TracePhases so long runs stop growing memory
+	// per phase.
+	phaseSum    int64
+	phaseMax    int
+	phaseTotals []int
+
+	// Reusable system-phase buffers, nd entries each (zero steady-state
+	// allocations): loads is the snapshot, avail/pend are wave-partition
+	// scratch, moves/waveEnds hold the staged plan.
+	loads    []int
+	avail    []int
+	pend     []int
+	moves    []applyMove
+	waveEnds []int
+
+	// det is the ANY transfer detector (see detector.go).
+	det *detector
+}
+
+// newEngineRun builds the run state — domain partition, CPU mapping,
+// planner topology, workers — without starting the workers; benchmarks
+// and phase-level tests drive the returned run directly through
+// phaseStep.
+func newEngineRun(cfg *Config) *engineRun {
+	n := cfg.Topo.Size()
+	r := &engineRun{
+		cfg:   cfg,
+		n:     n,
+		nd:    1,
+		bar:   newEpochBarrier(n),
+		start: time.Now(),
+	}
+	var cpus [][]int
+	switch cfg.Strategy {
+	case Steal:
+		r.steal = true
+		if cfg.Domains > 0 {
+			r.classes = resolveDomains(cfg.Domains, n, false)
+		}
+	case Hybrid:
+		_, hypercube := cfg.Topo.(*topo.Hypercube)
+		r.nd = resolveDomains(cfg.Domains, n, hypercube)
+		r.classes = r.nd
+		r.dtopo = MirrorTopology(cfg.Topo, r.nd)
+		cpus = domainCPUs(r.nd)
+	default: // RIPS: every worker its own domain, planned over the machine itself
+		r.nd, r.dtopo = n, cfg.Topo
+	}
+	if !r.steal {
+		r.eager = cfg.Local == ripsrt.Eager
+		r.all = cfg.Global == ripsrt.All
+	}
+	nd := r.nd
+	r.loads = make([]int, nd)
+	r.avail = make([]int, nd)
+	r.pend = make([]int, nd)
+	r.det = newDetector(cfg, n, &r.cancel)
+	r.beginFn = r.beginPhase
+	r.endFn = r.finishPhase
+	classOf := workerDomains(domainBlocks(n, max(r.classes, 1)), n)
+	blocks := domainBlocks(n, nd)
+	for d := 0; d < nd; d++ {
+		dom := &engineDomain{id: d, lo: blocks[d][0], hi: blocks[d][1]}
+		if cpus != nil {
+			dom.cpus = cpus[d]
+		}
+		r.doms = append(r.doms, dom)
+		mates := dom.size() > 1
+		for i := dom.lo; i < dom.hi; i++ {
+			w := &engineWorker{
+				id:    i,
+				dom:   d,
+				class: classOf[i],
+				fifo:  !mates && !r.steal,
+				d:     newDeque(),
+			}
+			// emit runs inside every task execution, called back by the
+			// application: the traversal cannot follow that call, so it is
+			// rooted explicitly. It writes the child into the slab and lists
+			// the node; pushing is execute's business, outside the busy time.
+			//ripslint:hotpath
+			w.emit = func(sp app.Spawn) {
+				if len(w.slab) == cap(w.slab) {
+					w.slab = make([]task.Task, 0, slabSize) //ripslint:allow hotpath slab refill: the one allocation per slabSize task nodes (TestDequeExecutorAllocs pins it)
+				}
+				k := len(w.slab)
+				w.slab = w.slab[:k+1]
+				w.slab[k] = task.Task{ID: w.newID(), Origin: w.id, Size: sp.Size, Data: sp.Data}
+				w.generated++
+				w.kids = append(w.kids, &w.slab[k]) //ripslint:allow hotpath kids keeps its capacity across tasks and, under Eager, across phases; growth stops at the widest fan-out (TestDequeExecutorAllocs pins it)
+			}
+			if mates {
+				w.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b9))
+				w.sweep = func() *task.Task { return r.stealLocal(w) }
+			}
+			r.workers = append(r.workers, w)
+		}
+	}
+	return r
+}
+
+// runEngine runs the engine for any strategy.
+func runEngine(cfg *Config, d driver) (Result, error) {
+	r := newEngineRun(cfg)
+	r.loadRoots(0)
+	if cfg.Cancel != nil {
+		stop := watchCancel(cfg.Cancel, &r.cancel)
+		defer stop()
+	}
+
+	start := time.Now()
+	r.start = start
+	d.dispatch(r.n, r.workerMain)
+	wall := time.Since(start)
+
+	res := Result{Workers: r.n, Wall: wall, Domains: r.classes, Canceled: r.stopped}
+	if !r.steal {
+		res.Overhead = r.sysTime
+		res.Migrated = r.migrated
+		res.Phases = r.phases
+		res.Waves = r.waves
+		res.PhaseSum = r.phaseSum
+		res.PhaseMax = r.phaseMax
+		res.PhaseTotals = r.phaseTotals
+	}
+	if r.classes > 0 {
+		res.DomainSteals = make([]int64, r.classes)
+		if !r.steal {
+			res.DomainMigrated = make([]int64, r.nd)
+			for _, dom := range r.doms {
+				res.DomainMigrated[dom.id] = dom.migrated
+			}
+		}
+	}
+	for _, w := range r.workers {
+		res.Generated += w.generated
+		res.Executed += w.executed
+		res.Nonlocal += w.nonlocal
+		res.AppResult += w.appResult
+		res.VirtualWork += w.vwork
+		res.Busy += w.busy
+		res.Steals += w.steals
+		res.CrossSteals += w.xsteals
+		if r.classes > 0 {
+			res.DomainSteals[w.class] += w.steals
+		}
+	}
+	res.Idle = max(0, wall-res.Overhead-res.Busy/time.Duration(r.n))
+	return res, r.err
+}
+
+// loadRoots stages a round's root tasks: block-distributed apps start
+// with each worker owning its slice, all others start on worker 0 and
+// let the first system phase spread the work across domains (stealing
+// spreads it within) — the paper's SPMD start. Called single-threaded
+// before the workers start, or by the phase leader with the world
+// stopped, when every worker's pending list is empty.
+func (r *engineRun) loadRoots(round int) {
+	roots := r.cfg.App.Roots(round)
+	stage := func(w *engineWorker, roots []app.Spawn) {
+		for _, sp := range roots {
+			w.emit(sp)
+		}
+		w.release()
+	}
+	if !app.RootsDistributed(r.cfg.App) {
+		stage(r.workers[0], roots)
+		return
+	}
+	for i, w := range r.workers {
+		lo, hi := app.RootBlock(len(roots), r.n, i)
+		stage(w, roots[lo:hi])
+	}
+}
+
+// workerMain is one worker's entry point. A worker of a domain with a
+// CPU set first locks its OS thread and pins it there. A pinning
+// failure is deliberately not an error: the worker runs unpinned — the
+// protocol is correct either way, pinning only improves locality —
+// which is the clean-fallback contract the affinity shim documents.
+func (r *engineRun) workerMain(id int) {
+	w := r.workers[id]
+	if cpus := r.doms[w.dom].cpus; len(cpus) > 0 {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		if restore, err := affinityPin(cpus); err == nil {
+			r.pinned.Add(1)
+			defer restore()
+		}
+	}
+	r.phaseLoop(w)
+}
+
+// phaseLoop is the worker's steady state: a system phase at every
+// barrier epoch, then a user phase until the transfer condition fires.
+//
+//ripslint:hotpath
+func (r *engineRun) phaseLoop(w *engineWorker) {
+	var point int64
+	for r.phaseStep(w, &point) {
+		r.userPhase(w, r.phases-1, &point)
+	}
+}
+
+// phaseStep runs one complete system phase from w's perspective and
+// reports whether the run continues. The phase is a short barrier
+// protocol rather than a single leader callback:
+//
+//  1. every worker releases its own Eager-staged children into its
+//     deque (in parallel, before the world stops; nothing is pending
+//     under Lazy) — leftover tasks are rescheduled together with the
+//     staged ones (paper Section 2);
+//  2. the last arrival becomes the leader and runs beginPhase with the
+//     world stopped: snapshot, round detection, planning, and the
+//     partition of the move list into two-phase waves;
+//  3. for each wave, every domain leader concurrently takes its
+//     domain's outgoing moves into its exchange buffer, crosses the
+//     exchange sub-barrier, then concurrently pushes its incoming moves
+//     — so plan application runs on all domains' cores instead of one;
+//     every other worker just crosses the sub-barriers;
+//  4. the final sub-barrier's leader runs finishPhase (invariants,
+//     detector adaptation, timing).
+//
+// Small plans skip step 3 entirely: beginPhase applies them serially
+// and the wave list comes back empty (see Config.ParallelApplyMin).
+func (r *engineRun) phaseStep(w *engineWorker, point *int64) bool {
+	// Schedule-perturbation point (no-op unless built with
+	// -tags ripsperturb): jitter this worker's barrier arrival so
+	// stress runs explore adversarial epoch interleavings.
+	*point++
+	perturb(w.id, *point)
+	w.release()
+	r.bar.await(r.beginFn)
+	if r.done { // leader decision, ordered by the barrier
+		return false
+	}
+	for wv := 0; wv < len(r.waveEnds); wv++ {
+		r.applyTake(w, wv)
+		*point++
+		perturb(w.id, *point)
+		r.bar.await(nil) // exchange sub-barrier: all takes land before any push
+		r.applyPush(w, wv)
+		*point++
+		perturb(w.id, *point)
+		if wv == len(r.waveEnds)-1 {
+			r.bar.await(r.endFn)
+		} else {
+			r.bar.await(nil) // wave boundary: forwarded tasks are now takeable
+		}
+	}
+	return true
+}
+
+// userPhase executes tasks until this phase's transfer condition is
+// met. Under ANY a worker holding tasks honours a transfer request only
+// after finishing the task in hand — and executes at least one task if
+// it has any, which guarantees global progress (every system phase is
+// separated by at least one real execution somewhere). A worker that
+// drains its own deque first tries to steal from its domain-mates, and
+// only a drained DOMAIN takes part in transfer detection: it waits in
+// the detector, which requests the transfer the moment every worker has
+// drained, or after the detector interval while one is still busy — a
+// wait that keeps a momentary drain during the initial fan-out from
+// triggering a storm of nearly-empty phases. Under ALL there is nothing
+// to signal: draining IS the local condition, and the epoch barrier
+// completes exactly when every worker in every domain has drained. A
+// Steal run is ANY with a detector that never times out: a drained
+// worker sweeps the machine until it finds a task or the drained count
+// completes.
+func (r *engineRun) userPhase(w *engineWorker, phase int64, point *int64) {
+	executed := false
+	for {
+		if r.cancel.Load() {
+			return // abort: head straight for the phase barrier
+		}
+		if executed && !r.all && r.det.requested(phase) {
+			return // someone requested the transfer; one task finished since
+		}
+		var t *task.Task
+		if w.fifo {
+			t, _ = w.d.steal() // the owner is the deque's only taker, so the claim cannot fail
+		} else {
+			t = w.d.pop()
+		}
+		if t == nil {
+			// Perturbation point (no-op unless -tags ripsperturb): jitter
+			// the thief between its empty pop and the steal sweep, the
+			// window where owner pushes race thieves.
+			*point++
+			perturb(w.id, *point)
+			if t = r.stealLocal(w); t != nil {
+				w.steals++
+			}
+		}
+		if t == nil {
+			if r.all || r.cancel.Load() {
+				return // drained: the ALL local condition holds
+			}
+			// The detector re-sweeps the domain while it waits: mates may
+			// make new work stealable, and a successful steal resumes the
+			// user phase instead of requesting a transfer the domain does
+			// not need.
+			if t = r.det.await(w.id, phase, w.sweep); t == nil {
+				return
+			}
+			w.steals++ // work appeared during the detector wait
+		}
+		r.execute(w, t)
+		executed = true
+	}
+}
+
+// stealLocal sweeps the other workers of this worker's domain once in
+// random rotation, returning the first stolen task: O(n/D) deque
+// probes, all on the domain's own node, under Hybrid; the whole machine
+// under Steal, whose one domain it is; nothing under RIPS.
+func (r *engineRun) stealLocal(w *engineWorker) *task.Task {
+	dom := r.doms[w.dom]
+	n := dom.size()
+	if n < 2 {
+		return nil
+	}
+	off := w.rng.Intn(n) //ripslint:allow hotpath victim rotation on the worker's private source: arithmetic on its own state, no allocation, no lock
+	for k := 0; k < n; k++ {
+		v := r.workers[dom.lo+(off+k)%n]
+		if v == w {
+			continue
+		}
+		for {
+			t, retry := v.d.steal()
+			if t != nil {
+				if v.class != w.class {
+					w.xsteals++
+				}
+				return t
+			}
+			if !retry {
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// execute runs one task for real and files its children per the local
+// policy. The bound emit closure carves each child's node from the
+// worker's slab and lists it in kids; Lazy (and Steal) then pushes the
+// listed nodes onto the deque, Eager leaves them listed until the next
+// system phase. The busy time is the task alone: two monotonic clock
+// readings against the run's start (time.Now would read the wall clock
+// too), with the pushes outside them.
+func (r *engineRun) execute(w *engineWorker, t *task.Task) {
+	if t.Origin != w.id {
+		w.nonlocal++
+	}
+	w.executed++
+	began := time.Since(r.start)
+	vw, res := app.ExecuteCount(r.cfg.App, t.Data, w.emit)
+	w.busy += time.Since(r.start) - began
+	w.vwork += vw
+	w.appResult += res
+	if !r.eager {
+		w.release()
+	}
+}
+
+// beginPhase runs with the world stopped (every worker parked in the
+// epoch barrier, Eager stages already released): it snapshots the
+// per-domain load sums, detects round boundaries (a zero global total:
+// no task is in a thief's hand and the deque sizes are exact — the
+// snapshot, not any count kept while workers run, is what ends a
+// round), runs the pure walking algorithm over the planner's topology
+// and stages the plan for application. Large plans are partitioned into
+// waves for the domain leaders to apply concurrently; small ones are
+// applied by the leader on the spot.
+//
+// It is a hot-path root of its own: the barrier invokes it through a
+// pre-bound function value (r.beginFn), which the traversal cannot
+// follow past the waived leader() call site in barrier.go.
+//
+//ripslint:hotpath
+func (r *engineRun) beginPhase() {
+	if r.cancel.Load() {
+		// Abort, decided by the leader with the world stopped: every
+		// worker is parked in this barrier, so setting done here is the
+		// "barrier wakeup" — all of them observe it on release and exit
+		// together. Nothing is planned or moved; the deques keep the
+		// abandoned tasks.
+		r.stopped = true
+		r.done = true
+		return
+	}
+	r.phaseStart = time.Now()
+	r.moves = r.moves[:0]
+	r.waveEnds = r.waveEnds[:0]
+	r.phaseMoved = 0
+
+	total := 0
+	for i := range r.loads {
+		r.loads[i] = 0
+	}
+	for _, w := range r.workers {
+		n := int(w.d.size())
+		r.loads[w.dom] += n
+		total += n
+	}
+	r.phaseTotal = total
+	r.phases++
+	r.phaseSum += int64(total)
+	if total > r.phaseMax {
+		r.phaseMax = total
+	}
+	if r.cfg.TracePhases {
+		r.phaseTotals = append(r.phaseTotals, total) //ripslint:allow hotpath opt-in tracing grows the trace by design; steady-state runs keep TracePhases off
+	}
+
+	if total == 0 {
+		// Zero global total detects the round boundary, exactly like
+		// the simulator runtime.
+		r.round++
+		//ripslint:allow hotpath round boundary (zero global total): one dispatch per round, outside the steady state
+		if r.round >= r.cfg.App.Rounds() {
+			r.done = true
+			r.finishPhase()
+			return
+		}
+		r.loadRoots(r.round) //ripslint:allow hotpath round boundary restaging allocates once per round, outside the steady state
+		r.finishPhase()
+		return
+	}
+	if r.nd == 1 || BalancedCanonical(r.loads, total) {
+		// A single domain has nothing to balance across (stealing is the
+		// whole story), and canonical loads are already at the Theorem 1
+		// fixed point — either way there is nothing to plan or move.
+		// Skipping the planner keeps balanced steady-state phases
+		// allocation-free (the planners build fresh trace vectors on
+		// every call).
+		r.finishPhase()
+		return
+	}
+
+	//ripslint:allow hotpath the planners build fresh trace vectors by design; balanced steady-state phases never reach them (BalancedCanonical short-circuits above)
+	plan, planTotal, err := PlanLoads(r.dtopo, r.loads)
+	if err != nil {
+		r.err = err
+		r.done = true
+		return
+	}
+	if invariant.Enabled() && planTotal != total {
+		invariant.Violated("par: planner saw %d tasks, snapshot had %d", planTotal, total)
+	}
+	r.phaseMoved = plan.Cost()
+	r.migrated += int64(r.phaseMoved)
+	r.stageMoves(plan.Moves)
+
+	if r.phaseMoved < r.cfg.parallelApplyMin() {
+		// Leader-only apply: per the phase-cost model (DESIGN.md §9) a
+		// small plan cannot amortize the extra sub-barrier crossings, so
+		// the leader applies it alone, move by move in plan order, and
+		// grows every domain's exchange buffer itself (no first-touch
+		// care for plans this small).
+		for _, dom := range r.doms {
+			r.ensureXbuf(dom)
+		}
+		for i := range r.moves {
+			mv := &r.moves[i]
+			r.takeMove(mv)
+			r.pushMove(mv)
+		}
+		r.moves = r.moves[:0]
+		r.finishPhase()
+		return
+	}
+	r.waveEnds = partitionInWaves(r.moves, r.loads, r.avail, r.pend, r.waveEnds)
+	r.waves += int64(len(r.waveEnds))
+}
+
+// finishPhase closes the system phase: Theorem 1 at domain granularity
+// — after a planned phase the domain totals sit within one task of the
+// domain quota — and conservation are invariant-checked on every real
+// phase, the adaptive detector folds in the phase's yield, and the
+// stop-the-world time is charged. It runs as the leader callback of the
+// last sub-barrier (or inline from beginPhase when no waves were fanned
+// out).
+//
+//ripslint:hotpath
+func (r *engineRun) finishPhase() {
+	if total := r.phaseTotal; total > 0 {
+		av := r.avail // scratch; wave partition and offsets are done with it
+		for i := range av {
+			av[i] = 0
+		}
+		for _, w := range r.workers {
+			av[w.dom] += int(w.d.size())
+		}
+		after := 0
+		for d, x := range av {
+			after += x
+			invariant.BalancedWithinOne(x, total, r.nd, d, "par: system phase")
+		}
+		invariant.Conserved(total, after, "par: system phase")
+	}
+	r.det.update(r.phaseMoved, r.nd)
+	r.sysTime += time.Since(r.phaseStart)
+	if h := r.cfg.OnPhase; h != nil && !r.steal { // a Steal run's crossings are round barriers, not system phases
+		//ripslint:allow hotpath OnPhase observer contract: the hook runs inside the stopped world and is documented to be allocation-conscious
+		h(metrics.PhaseInfo{
+			Phase:   r.phases,
+			Round:   r.round,
+			Tasks:   r.phaseTotal,
+			Moved:   r.phaseMoved,
+			Elapsed: time.Since(r.start),
+		})
+	}
+}
+
+// BalancedCanonical reports whether loads already sit at the exact
+// Theorem 1 quota — floor(total/n) everywhere, plus one on the first
+// total mod n nodes — the fixed point every walking algorithm drives
+// toward, at which a planner has no moves left to make.
+func BalancedCanonical(loads []int, total int) bool {
+	n := len(loads)
+	lo, rem := total/n, total%n
+	for i, x := range loads {
+		q := lo
+		if i < rem {
+			q++
+		}
+		if x != q {
+			return false
+		}
+	}
+	return true
+}
+
+// stageMoves turns the plan into applyMoves with disjoint exchange
+// regions: each move parks its tasks in the source domain's xbuf at a
+// unique offset. It records the per-domain export volume. avail doubles
+// as per-domain offset scratch here; it is re-derived before the wave
+// partition and the balance check.
+func (r *engineRun) stageMoves(moves []sched.Move) {
+	off := r.avail
+	for i := range off {
+		off[i] = 0
+	}
+	for _, m := range moves {
+		r.moves = append(r.moves, applyMove{from: m.From, to: m.To, count: m.Count, off: off[m.From]}) //ripslint:allow hotpath r.moves retains its capacity across phases; growth amortizes to zero
+		off[m.From] += m.Count
+		r.doms[m.From].migrated += int64(m.Count)
+	}
+	for d, dom := range r.doms {
+		dom.xneed = off[d]
+	}
+}
+
+// ensureXbuf sizes the domain's exchange buffer for the phase. On the
+// parallel path it runs on the domain leader's pinned thread, so a
+// grown buffer is first-touched on the domain's own node.
+func (r *engineRun) ensureXbuf(dom *engineDomain) {
+	if cap(dom.xbuf) < dom.xneed {
+		dom.xbuf = make([]*task.Task, dom.xneed) //ripslint:allow hotpath exchange buffers grow to the high-water mark once, then are reused every phase
+	} else {
+		dom.xbuf = dom.xbuf[:dom.xneed]
+	}
+}
+
+// partitionInWaves partitions moves into contiguous-prefix two-phase
+// waves over loads: within a wave every take is satisfiable from the
+// wave-start loads, so all takes may run concurrently before any push.
+// It reuses avail/pend as scratch and appends the wave end indices to
+// waveEnds (whose backing array amortizes across phases). Because the
+// plan is sequentially feasible, the first move after a wave boundary
+// is always satisfiable, so every wave makes progress and the wave
+// count is bounded by the plan's forwarding depth (at most the
+// topology diameter).
+func partitionInWaves(moves []applyMove, loads, avail, pend []int, waveEnds []int) []int {
+	copy(avail, loads)
+	for i := range pend {
+		pend[i] = 0
+	}
+	for i := range moves {
+		mv := &moves[i]
+		if avail[mv.from] < mv.count {
+			// mv forwards tasks still in flight: close the wave (its
+			// pushes land at the boundary) and retry in the next one.
+			waveEnds = append(waveEnds, i) //ripslint:allow hotpath waveEnds retains its capacity across phases; growth amortizes to zero
+			for n := range pend {
+				avail[n] += pend[n]
+				pend[n] = 0
+			}
+			if avail[mv.from] < mv.count {
+				invariant.Violated("par: move %d->%d x%d infeasible at a wave boundary: plan not sequentially feasible",
+					mv.from, mv.to, mv.count)
+			}
+		}
+		avail[mv.from] -= mv.count
+		pend[mv.to] += mv.count
+	}
+	return append(waveEnds, len(moves)) //ripslint:allow hotpath waveEnds retains its capacity across phases; growth amortizes to zero
+}
+
+// waveBounds returns the [lo, hi) move-index range of wave wv.
+func waveBounds(waveEnds []int, wv int) (int, int) {
+	lo := 0
+	if wv > 0 {
+		lo = waveEnds[wv-1]
+	}
+	return lo, waveEnds[wv]
+}
+
+// applyTake is the take half of one wave from w's perspective: only
+// the domain leader acts, extracting every move its domain sources
+// into the domain's exchange buffer. Only it touches the domain's
+// deques and buffer here, so all domains' takes run concurrently, and
+// quiescence at the barrier makes the bulk deque takes safe without CAS
+// traffic.
+func (r *engineRun) applyTake(w *engineWorker, wv int) {
+	dom := r.doms[w.dom]
+	if w.id != dom.lo {
+		return
+	}
+	r.ensureXbuf(dom)
+	lo, hi := waveBounds(r.waveEnds, wv)
+	for i := lo; i < hi; i++ {
+		if mv := &r.moves[i]; mv.from == dom.id {
+			r.takeMove(mv)
+		}
+	}
+}
+
+// applyPush is the push half: the destination domain's leader lands
+// every move its domain receives. The exchange sub-barrier ordered all
+// takes before any push, so the source regions are stable.
+func (r *engineRun) applyPush(w *engineWorker, wv int) {
+	dom := r.doms[w.dom]
+	if w.id != dom.lo {
+		return
+	}
+	lo, hi := waveBounds(r.waveEnds, wv)
+	for i := lo; i < hi; i++ {
+		if mv := &r.moves[i]; mv.to == dom.id {
+			r.pushMove(mv)
+		}
+	}
+}
+
+// takeMove extracts one move's tasks from the source domain's deques
+// into its exchange region, always from the end the owners do not
+// execute from. A domain of stealing workers gives up the tops, swept
+// in worker order: the oldest, typically largest subtrees, exactly the
+// tasks a thief would have exported. A fifo worker gives up its bottom:
+// that forwards tasks which arrived in this same phase first and keeps
+// resident tasks home (the locality preference of Theorem 2).
+func (r *engineRun) takeMove(mv *applyMove) {
+	dom := r.doms[mv.from]
+	seg := dom.xbuf[mv.off : mv.off+mv.count]
+	got := 0
+	if w := r.workers[dom.lo]; w.fifo {
+		got = w.d.takeBottomInto(seg)
+	} else {
+		for i := dom.lo; i < dom.hi && got < mv.count; i++ {
+			got += r.workers[i].d.takeTopInto(seg[got:])
+		}
+	}
+	mv.got = got
+	if got != mv.count {
+		invariant.Violated("par: domain %d short %d tasks for migration", mv.from, mv.count-got)
+	}
+}
+
+// pushMove lands one move's tasks on the destination domain's deques,
+// an even share per worker in one bulk push each, and clears the
+// exchange region so task pointers are not retained across the next
+// user phase.
+func (r *engineRun) pushMove(mv *applyMove) {
+	seg := r.doms[mv.from].xbuf[mv.off : mv.off+mv.got]
+	dst := r.doms[mv.to]
+	n := dst.size()
+	for i := 0; i < n; i++ {
+		r.workers[dst.lo+i].d.push(seg[len(seg)*i/n : len(seg)*(i+1)/n]...)
+	}
+	clear(seg)
+}

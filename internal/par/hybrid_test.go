@@ -153,16 +153,16 @@ func TestDomainBlocks(t *testing.T) {
 // machine keeps the machine's kind, so the same walking algorithm
 // plans at both granularities.
 func TestDomainTopologyMirrorsMachine(t *testing.T) {
-	if _, ok := domainTopology(topo.NewTree(15), 4).(*topo.Tree); !ok {
+	if _, ok := MirrorTopology(topo.NewTree(15), 4).(*topo.Tree); !ok {
 		t.Error("tree machine did not yield a tree domain topology")
 	}
-	if hc, ok := domainTopology(topo.NewHypercube(4), 4).(*topo.Hypercube); !ok || hc.Size() != 4 {
+	if hc, ok := MirrorTopology(topo.NewHypercube(4), 4).(*topo.Hypercube); !ok || hc.Size() != 4 {
 		t.Errorf("hypercube machine yielded %T size %d, want 4-node hypercube", hc, hc.Size())
 	}
-	if _, ok := domainTopology(topo.NewMesh(4, 4), 3).(*topo.Mesh); !ok {
+	if _, ok := MirrorTopology(topo.NewMesh(4, 4), 3).(*topo.Mesh); !ok {
 		t.Error("mesh machine did not yield a mesh domain topology")
 	}
-	if dt := domainTopology(topo.NewHypercube(3), 1); dt.Size() != 1 {
+	if dt := MirrorTopology(topo.NewHypercube(3), 1); dt.Size() != 1 {
 		t.Errorf("single-domain topology has size %d, want 1", dt.Size())
 	}
 }
@@ -254,6 +254,35 @@ func TestHybridSingleNodeMachineSkipsPinning(t *testing.T) {
 	if res.Domains != 1 {
 		t.Errorf("Domains = %d, want auto-detected 1", res.Domains)
 	}
+}
+
+// TestRIPSParameterisation checks what RIPS makes of the engine on a
+// machine faked to two NUMA nodes: one domain per worker, the planner on
+// the 2x2 mesh itself rather than the 1x4 chain a four-domain Hybrid
+// mirrors it into, nobody to steal from (so no victim RNG and no sweep),
+// oldest-first pops — and no worker ever pins.
+func TestRIPSParameterisation(t *testing.T) {
+	withAffinity(t, twoNodes(), func([]int) (func(), error) {
+		t.Error("pin called under RIPS")
+		return func() {}, nil
+	})
+	cfg := Config{Topo: topo.NewMesh(2, 2), App: queens8()}
+	r := newEngineRun(&cfg)
+	if r.nd != 4 || r.dtopo != cfg.Topo || r.classes != 0 {
+		t.Errorf("nd=%d classes=%d planner on %s; want 4 domains, no classes, the machine's own %s",
+			r.nd, r.classes, r.dtopo.Name(), cfg.Topo.Name())
+	}
+	for _, w := range r.workers {
+		if dom := r.doms[w.dom]; dom.size() != 1 || len(dom.cpus) != 0 || !w.fifo || w.rng != nil || w.sweep != nil {
+			t.Errorf("worker %d: domain of %d with cpus %v, fifo=%v rng=%v sweep set=%v; want alone, unpinned, fifo, no steal state",
+				w.id, dom.size(), dom.cpus, w.fifo, w.rng, w.sweep != nil)
+		}
+	}
+	hybrid := Config{Topo: cfg.Topo, App: cfg.App, Strategy: Hybrid, Domains: 4}
+	if h := newEngineRun(&hybrid); h.dtopo.Name() != topo.NewMesh(1, 4).Name() {
+		t.Errorf("four-domain Hybrid plans on %s, want the 1x4 chain mirror", h.dtopo.Name())
+	}
+	checkQueens8(t, mustRun(t, cfg), "RIPS on a faked two-node machine")
 }
 
 // TestHybridCancel aborts mid-flight hybrid runs on every policy pair:

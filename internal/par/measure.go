@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -21,36 +22,57 @@ import (
 // full app run it cannot under-measure on few cores, where a fast
 // worker drains a small workload before any unbalanced phase fires.
 func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.Duration, int64) {
-	cfg := Config{Topo: topo.SquarishMesh(workers), SerialApply: serial}
-	if !serial {
-		cfg.ParallelApplyMin = -1
+	cfg := Config{Topo: topo.SquarishMesh(workers), ParallelApplyMin: -1}
+	if serial {
+		cfg.ParallelApplyMin = math.MaxInt
 	}
-	r := newRipsRun(&cfg)
-	fill := func() {
-		for _, w := range r.workers {
-			w.rte.Clear()
-			if w.id%2 == 0 {
-				for k := 0; k < 2*tasksPerWorker; k++ {
-					w.rte.PushBack(task.Task{Origin: w.id})
-				}
-			}
-		}
-	}
+	r := newEngineRun(&cfg)
+	load := syntheticTasks(2 * tasksPerWorker)
 	if phases < 1 {
 		phases = 1
 	}
 	for p := 0; p < phases; p++ {
-		fill()
-		var wg sync.WaitGroup
-		for _, w := range r.workers {
-			wg.Add(1)
-			go func(w *ripsWorker) {
-				defer wg.Done()
-				var point int64
-				r.phaseStep(w, &point)
-			}(w)
-		}
-		wg.Wait()
+		r.fillSkewed(load)
+		r.phaseOnce()
 	}
 	return r.sysTime / time.Duration(phases), r.waves
+}
+
+// syntheticTasks returns n distinct empty tasks. A system phase moves
+// pointers and never looks behind them, so one set serves every worker
+// and every phase of a measurement.
+func syntheticTasks(n int) []*task.Task {
+	nodes := make([]task.Task, n)
+	ptrs := make([]*task.Task, n)
+	for i := range nodes {
+		ptrs[i] = &nodes[i]
+	}
+	return ptrs
+}
+
+// fillSkewed empties every deque and hands each even worker the whole
+// load. Single-threaded, between phases.
+func (r *engineRun) fillSkewed(load []*task.Task) {
+	for _, w := range r.workers {
+		for w.d.pop() != nil {
+		}
+		if w.id%2 == 0 {
+			w.d.push(load...)
+		}
+	}
+}
+
+// phaseOnce runs one system phase with every worker on a goroutine of
+// its own, the way a run's workers cross it.
+func (r *engineRun) phaseOnce() {
+	var wg sync.WaitGroup
+	for _, w := range r.workers {
+		wg.Add(1)
+		go func(w *engineWorker) {
+			defer wg.Done()
+			var point int64
+			r.phaseStep(w, &point)
+		}(w)
+	}
+	wg.Wait()
 }

@@ -9,7 +9,7 @@
 //   - User phases: every worker executes tasks from its own deque,
 //     filing spawned children under the configured local policy (Lazy:
 //     straight back into the executable deque; Eager: into a staging
-//     queue that only a system phase can release).
+//     list that only a system phase can release).
 //   - Transfer detection: the ANY policy is an atomic request word
 //     carrying the user-phase index — the worker whose drain leaves
 //     nobody busy publishes it at once, a worker drained for a whole
@@ -22,18 +22,20 @@
 //     completes only when every worker has drained.
 //   - System phases: a phase-indexed epoch barrier stops the world;
 //     the last worker to arrive becomes the leader, snapshots the
-//     per-worker loads, runs the pure planner of the machine topology
+//     loads, runs the pure planner of the machine topology
 //     (mwa.Plan, treewalk.Plan or cubewalk.Plan — the same code the
 //     simulator's message-passing phases are validated against) and
-//     applies the plan as slice transfers between deques. Conservation
+//     the plan is applied as bulk transfers between deques. Conservation
 //     and the Theorem 1 balance are invariant-checked on every phase.
 //
-// The same backend houses a Chase-Lev-style work-stealing strategy
-// (Steal): the Hybrid strategy's deque engine (hybrid.go) run as one
-// domain spanning the machine, so RIPS versus work-stealing is an
-// apples-to-apples wall-clock comparison over one worker layout, one
-// barrier and one detector — the benchmark cmd/ripsbench parscale
-// reports both side by side.
+// There is one implementation of that protocol (engine.go), levelled
+// over affinity domains: stealing inside a domain, planned phases
+// across domains. The three strategies are three parameterisations of
+// it — RIPS one worker per domain, Hybrid the machine's NUMA domains,
+// Steal one domain spanning the machine — so RIPS versus work-stealing
+// is an apples-to-apples wall-clock comparison over one worker layout,
+// one deque, one barrier and one detector — the benchmark
+// cmd/ripsbench parscale reports them side by side.
 //
 // Because this backend measures real elapsed time, its files carry
 // file-scope wallclock waivers (see the policy in internal/analysis):
@@ -62,13 +64,14 @@ type Strategy int
 
 const (
 	// RIPS alternates user phases with stop-the-world system phases
-	// running the topology's exact walking algorithm.
+	// running the topology's exact walking algorithm over the workers:
+	// the engine with every worker a domain of its own.
 	RIPS Strategy = iota
 	// Steal is the work-stealing comparator: idle workers steal from the
 	// top of random victims' Chase-Lev deques, anywhere on the machine.
-	// It is the Hybrid engine with a single domain and a detector that
-	// never times out; the barrier it crosses at each round boundary
-	// plans and moves nothing and is not reported as a phase.
+	// It is the engine with a single domain and a detector that never
+	// times out; the barrier it crosses at each round boundary plans and
+	// moves nothing and is not reported as a phase.
 	Steal
 	// Hybrid is the hierarchical combination: workers are partitioned
 	// into affinity domains (NUMA nodes by default, see Config.Domains);
@@ -149,12 +152,9 @@ type Config struct {
 	// system phase) at which the leader fans plan application out to
 	// all workers in two-phase waves instead of applying the moves
 	// alone. Zero means DefaultParallelApplyMin; negative fans out
-	// every plan (stress/benchmark use). Ignored under SerialApply.
+	// every plan (stress/benchmark use); math.MaxInt keeps every plan
+	// with the leader. The computed answer is identical either way.
 	ParallelApplyMin int
-	// SerialApply forces the leader to apply every plan alone — the
-	// pre-parallel-apply behavior, kept as the benchmark baseline and
-	// ablation knob. The computed answer is identical either way.
-	SerialApply bool
 	// TracePhases records the full per-phase task-total trace in
 	// Result.PhaseTotals. Off by default so long runs keep only the
 	// bounded count/sum/max summary and stop growing memory per phase.
@@ -370,14 +370,7 @@ func Run(cfg Config) (Result, error) {
 // runOn executes a validated config on the given driver — fresh
 // goroutines or a pool's resident workers; the protocol is identical.
 func runOn(cfg *Config, d driver) (Result, error) {
-	var res Result
-	var err error
-	switch cfg.Strategy {
-	case Steal, Hybrid:
-		res, err = runHybrid(cfg, d)
-	default:
-		res, err = runRIPS(cfg, d)
-	}
+	res, err := runEngine(cfg, d)
 	if err != nil {
 		return res, err
 	}
@@ -433,26 +426,4 @@ type counters struct {
 	appResult int64
 	vwork     sim.Time
 	busy      time.Duration
-}
-
-// assemble is the result-assembly step every strategy shares: it sums
-// the per-worker counters (shared selects the embedded counters of the
-// strategy's worker type) into res and derives the Wall-based
-// per-worker averages.
-func assemble[W any](res *Result, wall time.Duration, ws []*W, shared func(*W) *counters) {
-	for _, w := range ws {
-		c := shared(w)
-		res.Generated += c.generated
-		res.Executed += c.executed
-		res.Nonlocal += c.nonlocal
-		res.AppResult += c.appResult
-		res.VirtualWork += c.vwork
-		res.Busy += c.busy
-	}
-	res.Wall = wall
-	idle := wall - res.Overhead - res.Busy/time.Duration(res.Workers)
-	if idle < 0 {
-		idle = 0
-	}
-	res.Idle = idle
 }

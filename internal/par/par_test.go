@@ -2,11 +2,16 @@ package par
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rips/internal/app"
 	"rips/internal/apps/nqueens"
+	"rips/internal/apps/puzzle"
+	"rips/internal/metrics"
 	"rips/internal/ripsrt"
+	"rips/internal/sim"
 	"rips/internal/topo"
 )
 
@@ -70,6 +75,80 @@ func TestRIPSPolicies(t *testing.T) {
 			if res.PhaseSum != sum || res.PhaseMax != max {
 				t.Errorf("%s: phase summary sum=%d max=%d, trace says sum=%d max=%d",
 					label, res.PhaseSum, res.PhaseMax, sum, max)
+			}
+		}
+	}
+}
+
+// TestRIPSResultContract pins what a RIPS run looks like from outside
+// now that it is the engine at one-worker domains: nothing domain- or
+// steal-shaped is reported, OnPhase fires once per system phase, and the
+// trace has one entry per phase.
+func TestRIPSResultContract(t *testing.T) {
+	ida := puzzle.Configs()[0] // 9 rounds: every round boundary is a phase
+	want := measure(t, ida)
+	var hooked atomic.Int64
+	res := mustRun(t, Config{
+		Topo:        topo.NewMesh(2, 2),
+		App:         ida,
+		TracePhases: true,
+		OnPhase:     func(metrics.PhaseInfo) { hooked.Add(1) },
+	})
+	checkPar(t, "rips", res, want)
+	if res.Domains != 0 || res.Steals != 0 || res.CrossSteals != 0 || res.DomainSteals != nil || res.DomainMigrated != nil {
+		t.Errorf("Domains=%d Steals=%d CrossSteals=%d DomainSteals=%v DomainMigrated=%v, want none of it under RIPS",
+			res.Domains, res.Steals, res.CrossSteals, res.DomainSteals, res.DomainMigrated)
+	}
+	if res.Phases < int64(ida.Rounds()) || res.Migrated == 0 {
+		t.Errorf("Phases=%d Migrated=%d on a %d-round job", res.Phases, res.Migrated, ida.Rounds())
+	}
+	if n := hooked.Load(); n != res.Phases {
+		t.Errorf("OnPhase called %d times for %d phases", n, res.Phases)
+	}
+	if len(res.PhaseTotals) != int(res.Phases) {
+		t.Errorf("%d phase totals traced for %d phases", len(res.PhaseTotals), res.Phases)
+	}
+}
+
+// depthApp is a uniform tree whose tasks are their own depth; it
+// records the depths in execution order (one worker, so no locking).
+type depthApp struct {
+	depth, fanout int
+	order         []int
+}
+
+func (a *depthApp) Name() string          { return "depths" }
+func (a *depthApp) Rounds() int           { return 1 }
+func (a *depthApp) Roots(int) []app.Spawn { return []app.Spawn{{Data: 0}} }
+func (a *depthApp) Execute(data any, emit func(app.Spawn)) sim.Time {
+	d := data.(int)
+	a.order = append(a.order, d)
+	for i := 0; d < a.depth && i < a.fanout; i++ {
+		emit(app.Spawn{Data: d + 1})
+	}
+	return 1
+}
+
+// TestPopOrder pins the queue discipline on one worker, where it is
+// deterministic: a worker balanced by count (RIPS; Hybrid, alone in its
+// domain) takes its oldest task, so the tree is executed level by level
+// and its deque length tracks the work left; a Steal worker takes its
+// newest at every worker count, depth first. Folding RIPS onto the
+// deque engine without this fails the first leg.
+func TestPopOrder(t *testing.T) {
+	for _, strat := range []Strategy{RIPS, Hybrid, Steal} {
+		a := &depthApp{depth: 4, fanout: 3}
+		res := mustRun(t, Config{Topo: topo.NewMesh(1, 1), App: a, Strategy: strat})
+		if res.Executed != 121 || len(a.order) != 121 {
+			t.Fatalf("%s: executed %d tasks, recorded %d, want 121", strat, res.Executed, len(a.order))
+		}
+		for i := 1; i < len(a.order); i++ {
+			prev, cur := a.order[i-1], a.order[i]
+			if strat != Steal && cur < prev {
+				t.Fatalf("%s: task %d has depth %d after depth %d; want oldest first, level by level", strat, i, cur, prev)
+			}
+			if strat == Steal && prev < a.depth && cur != prev+1 {
+				t.Fatalf("%s: task %d has depth %d after an inner task of depth %d; want its newest child next", strat, i, cur, prev)
 			}
 		}
 	}

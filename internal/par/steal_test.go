@@ -212,7 +212,7 @@ func TestStealIdleThiefLeavesOnAbort(t *testing.T) {
 	a := &holdApp{started: make(chan struct{}), release: make(chan struct{})}
 	cancel := make(chan struct{})
 	cfg := Config{Topo: topo.NewMesh(1, 2), App: a, Strategy: Steal, Cancel: cancel}
-	r := newHybridRun(&cfg)
+	r := newEngineRun(&cfg)
 	r.loadRoots(0)
 	defer watchCancel(cfg.Cancel, &r.cancel)()
 	done := make(chan struct{})
@@ -240,10 +240,10 @@ func TestStealIdleThiefLeavesOnAbort(t *testing.T) {
 }
 
 // TestDequeExecutorAllocs pins the slab: with payloads that do not box,
-// a run of the deque engine allocates one chunk per slabSize tasks and
-// a constant besides (workers, deque rings and their doublings, the
-// pending list's growth) — for Steal and for Hybrid under both local
-// policies. The executor this replaced made a slice per task.
+// a run of the engine allocates one chunk per slabSize tasks and a
+// constant besides (workers, deque rings and their doublings, the
+// pending list's growth) — for RIPS and Hybrid under both local
+// policies and for Steal.
 func TestDequeExecutorAllocs(t *testing.T) {
 	a := newBenchApp(8, 4) // (4^9-1)/3 = 87381 tasks
 	tasks := measure(t, a).tasks
@@ -252,6 +252,8 @@ func TestDequeExecutorAllocs(t *testing.T) {
 		name string
 		cfg  Config
 	}{
+		{"rips-lazy", Config{}},
+		{"rips-eager", Config{Local: ripsrt.Eager}},
 		{"steal", Config{Strategy: Steal}},
 		{"hybrid-lazy", Config{Strategy: Hybrid, Domains: 1}},
 		{"hybrid-eager", Config{Strategy: Hybrid, Domains: 2, Local: ripsrt.Eager}},

@@ -20,42 +20,40 @@ import (
 
 // TestServeTwoTenantsConcurrent is the partitioning acceptance test:
 // two tenants' jobs must run at the same time on disjoint sub-pools of
-// one server, not serialize through the whole pool.
+// one server, not serialize through the whole pool. Each job parks at
+// its own gate, and the gates open only once both have been seen
+// running: neither can finish first, so the overlap is caused by the
+// jobs' progress and never by one of them being slow enough.
 func TestServeTwoTenantsConcurrent(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 4})
 
-	alice, err := s.Submit(JobSpec{App: "nq", Size: 12, Tenant: "alice",
-		Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bob, err := s.Submit(JobSpec{App: "nq", Size: 12, Tenant: "bob",
-		Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Observe one instant where both jobs are running at once.
-	deadline := time.After(30 * time.Second)
-	for {
-		sa, changed := alice.Snapshot()
-		sb, _ := bob.Snapshot()
-		if sa.State == StateRunning && sb.State == StateRunning {
-			break
+	var jobs []*Job
+	var gates []*gatedQueens
+	for _, tenant := range []string{"alice", "bob"} {
+		family, gate := registerGated(t)
+		job, err := s.Submit(JobSpec{App: family, Tenant: tenant,
+			Config: rips.ConfigJSON{Procs: 2, Backend: "parallel"}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if Terminal(sa.State) || Terminal(sb.State) {
-			t.Fatalf("a job finished before both ran together: alice=%q bob=%q", sa.State, sb.State)
-		}
-		select {
-		case <-changed:
-		case <-deadline:
-			t.Fatalf("tenants never ran concurrently: alice=%q bob=%q", sa.State, sb.State)
+		jobs, gates = append(jobs, job), append(gates, gate)
+	}
+	for _, job := range jobs {
+		waitState(t, job, 30*time.Second, func(s Snapshot) bool { return s.State == StateRunning })
+	}
+	// A gated job leaves StateRunning only through its gate, so this
+	// instant has both running.
+	for _, job := range jobs {
+		if snap, _ := job.Snapshot(); snap.State != StateRunning {
+			t.Fatalf("%s (%s) is %q while the other tenant's job starts", job.ID, snap.Tenant, snap.State)
 		}
 	}
-
-	for _, job := range []*Job{alice, bob} {
+	for _, gate := range gates {
+		gate.open()
+	}
+	for _, job := range jobs {
 		snap := waitTerminal(t, job)
-		if snap.State != StateDone || snap.Result == nil || snap.Result.AppResult != 14200 {
+		if snap.State != StateDone || snap.Result == nil || snap.Result.AppResult != 73712 {
 			t.Errorf("%s: state=%q result=%+v", job.ID, snap.State, snap.Result)
 		}
 	}
