@@ -4,20 +4,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"rips/internal/difftest"
 	"rips/internal/perfreg"
 )
 
-// latticeCmd is the lattice-guided performance-regression harness (see
-// internal/perfreg). Default mode re-measures every probe point
-// recorded in the committed baseline and compares: deterministic
-// simulator metrics must match bit-for-bit (drift fails the command
-// with a minimal reproducer), real-parallel metrics warn beyond noise
-// thresholds. -update regenerates the baseline from a fresh sample;
-// -config measures one point verbatim.
+// latticeCmd is the lattice gate on the scheduling protocol's
+// behaviour (see internal/perfreg). Default mode re-measures every
+// probe point recorded in the committed baseline and compares: the
+// deterministic simulator metrics must match bit-for-bit, and any
+// drift fails the command with a minimal reproducer. -update
+// regenerates the baseline from a fresh sample; -config measures one
+// point verbatim.
 func latticeCmd(args []string) error {
 	fs := flag.NewFlagSet("lattice", flag.ExitOnError)
 	n := fs.Int("n", 24, "probe points to sample when regenerating with -update")
@@ -39,8 +38,8 @@ func latticeCmd(args []string) error {
 
 	if *update {
 		cfgs := difftest.Sample(*n, *lseed, *smoke)
-		fmt.Fprintf(os.Stderr, "ripsbench: lattice measuring %d probe points (seed %d, smoke %v) on %d cores\n",
-			len(cfgs), *lseed, *smoke, runtime.NumCPU())
+		fmt.Fprintf(os.Stderr, "ripsbench: lattice measuring %d probe points (seed %d, smoke %v)\n",
+			len(cfgs), *lseed, *smoke)
 		doc, err := perfreg.Measure(h, cfgs, *lseed, *smoke, os.Stderr)
 		if err != nil {
 			return err
@@ -63,8 +62,7 @@ func latticeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "ripsbench: lattice re-measuring %d baseline probe points on %d cores\n",
-		len(cfgs), runtime.NumCPU())
+	fmt.Fprintf(os.Stderr, "ripsbench: lattice re-measuring %d baseline probe points\n", len(cfgs))
 	cur, err := perfreg.Measure(h, cfgs, base.Seed, base.Smoke, os.Stderr)
 	if err != nil {
 		return err
@@ -75,7 +73,7 @@ func latticeCmd(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "ripsbench: wrote %s\n", *jsonPath)
 	}
-	rep := perfreg.Compare(base, cur, perfreg.Options{})
+	rep := perfreg.Compare(base, cur)
 	rep.Print(os.Stdout)
 	if !rep.Failed() {
 		return nil
@@ -98,20 +96,15 @@ func latticeOne(h *difftest.Harness, config, baseline string) error {
 	if err != nil {
 		return err
 	}
-	printMetrics := func(label string, m map[string]int64) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Printf("%s:\n", label)
-		for _, k := range keys {
-			fmt.Printf("  %-24s %d\n", k, m[k])
-		}
+	keys := make([]string, 0, len(e.Exact))
+	for k := range e.Exact {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	fmt.Printf("lattice point [%s]\n", e.Config)
-	printMetrics("exact (deterministic)", e.Exact)
-	printMetrics("advisory (this machine)", e.Advisory)
+	for _, k := range keys {
+		fmt.Printf("  %-24s %d\n", k, e.Exact[k])
+	}
 
 	base, err := perfreg.ReadFile(baseline)
 	if err != nil {
@@ -124,8 +117,7 @@ func latticeOne(h *difftest.Harness, config, baseline string) error {
 		}
 		rep := perfreg.Compare(
 			&perfreg.Document{Schema: perfreg.Schema, Entries: []perfreg.Entry{be}},
-			&perfreg.Document{Schema: perfreg.Schema, Entries: []perfreg.Entry{e}},
-			perfreg.Options{})
+			&perfreg.Document{Schema: perfreg.Schema, Entries: []perfreg.Entry{e}})
 		rep.Print(os.Stdout)
 		if rep.Failed() {
 			return fmt.Errorf("lattice: exact metrics drifted from baseline %s", baseline)

@@ -13,21 +13,6 @@
 // ablation, detail, all. -quick substitutes reduced workloads and
 // machine sizes so everything completes in seconds.
 //
-// The parscale experiment is different in kind: it runs the workload
-// for real on the shared-memory parallel backend (internal/par) and
-// reports the wall-clock scaling curve, RIPS next to Chase-Lev work
-// stealing. It takes its own trailing flags:
-//
-//	ripsbench parscale [-app nq|ida|gromos] [-n N] [-reps N] [-smoke] [-json FILE]
-//
-// where -n is the family's size knob (board for nq, paper
-// configuration 1-3 for ida, cutoff in angstroms for gromos; 0 picks
-// the family default), so the paper's Table I workload contrast can be
-// replayed on real cores. -json additionally writes the machine-readable
-// BENCH_par.json trajectory: the full curve plus a serial-vs-parallel
-// plan-application comparison of the system-phase cost on a 16-worker
-// mesh (see internal/exp.ParScaleJSON for the schema).
-//
 // The difftest experiment is the differential cross-validation
 // harness: it samples configurations from the app x topology x policy
 // x seed lattice and runs each on every backend (simulator, parallel
@@ -41,11 +26,11 @@
 // -smoke restricts the pool to the cheap seven-app set CI gates on.
 //
 // The lattice experiment reuses the same configuration lattice as a
-// performance probe grid (see internal/perfreg): each point is run on
-// all three backends and its scheduling metrics are recorded, the
-// deterministic simulator quantities exactly and the real-parallel
-// ones advisorily. Against the committed BENCH_lattice.json baseline,
-// any exact drift fails the command and prints a minimal reproducer:
+// probe grid for the scheduling protocol's behaviour (see
+// internal/perfreg): each point is run on the virtual-time simulator
+// and its deterministic metrics are recorded. Against the committed
+// BENCH_lattice.json baseline any drift fails the command and prints a
+// minimal reproducer (wall-clock performance is `go run ./bench`):
 //
 //	ripsbench lattice [-smoke] [-baseline FILE] [-update] [-n N]
 //	                  [-seed N] [-json FILE] [-config "..."]
@@ -55,38 +40,14 @@
 // -config measures one point verbatim (the form drifts are printed
 // in).
 //
-// The serve experiment is the multi-tenant load generator: it drives
-// a live ripsd (or an in-process server) with a job mix spread across
-// tenants and priority lanes, polls every job to its terminal state,
-// and reports per-lane throughput and latency percentiles plus the
-// daemon's preemption and cache counters:
-//
-//	ripsbench serve [-addr URL] [-workers N] [-clients N] [-tenants N]
-//	                [-jobs N] [-qps R] [-mix small|mixed|heavy]
-//	                [-smoke] [-json FILE]
-//
-// -json writes the machine-readable BENCH_serve.json artifact (see
-// internal/exp.ServeBenchJSON for the rips-serve/v1 schema).
-//
-// The cluster experiment calibrates the distributed transport: it
-// stands up a small ripsd cluster (localhost TCP by default), echoes
-// payloads of increasing size through the rips-wire/v1 frames, and
-// fits the paper's alpha + beta*size message-cost line through the
-// best round-trips, next to the simulator's modelled constants:
-//
-//	ripsbench cluster [-nodes N] [-reps N] [-mem] [-json FILE]
-//
-// -json writes the machine-readable BENCH_cluster.json artifact (see
-// internal/exp.ClusterBenchJSON for the rips-cluster/v1 schema).
-//
 // The run experiment executes one workload through the public API and
 // optionally emits the rips-result/v1 document ripsd streams:
 //
 //	ripsbench run [-app nq|ida|gromos] [-n N] [-procs N] [-topo T]
 //	              [-alg A] [-backend B] [-timeout D] [-json PATH]
 //
-// so a CLI run, a committed BENCH artifact and a served job result all
-// share one machine-readable schema (see runCmd).
+// so a CLI run and a served job result share one machine-readable
+// schema (see runCmd).
 package main
 
 import (
@@ -96,11 +57,9 @@ import (
 	"runtime"
 	"time"
 
-	"rips"
 	"rips/internal/apps/nqueens"
 	"rips/internal/difftest"
 	"rips/internal/exp"
-	"rips/internal/invariant"
 	"rips/internal/metrics"
 	"rips/internal/ripsrt"
 	"rips/internal/sim"
@@ -115,7 +74,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ripsbench [flags] fig4|table1|table2|fig5|table3|ablation|topologies|taxonomy|detail|parscale|difftest|lattice|run|serve|cluster|all\n")
+		fmt.Fprintf(os.Stderr, "usage: ripsbench [flags] fig4|table1|table2|fig5|table3|ablation|topologies|taxonomy|detail|difftest|lattice|run|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -124,7 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 	what := flag.Arg(0)
-	if flag.NArg() > 1 && what != "parscale" && what != "difftest" && what != "lattice" && what != "run" && what != "serve" && what != "cluster" {
+	if flag.NArg() > 1 && what != "difftest" && what != "lattice" && what != "run" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -157,18 +116,12 @@ func main() {
 		run("taxonomy", taxonomy)
 	case "detail":
 		run("detail", detail)
-	case "parscale":
-		run("parscale", func() error { return parscale(flag.Args()[1:]) })
 	case "difftest":
 		run("difftest", func() error { return difftestCmd(flag.Args()[1:]) })
 	case "lattice":
 		run("lattice", func() error { return latticeCmd(flag.Args()[1:]) })
 	case "run":
 		run("run", func() error { return runCmd(flag.Args()[1:]) })
-	case "serve":
-		run("serve", func() error { return serveCmd(flag.Args()[1:]) })
-	case "cluster":
-		run("cluster", func() error { return clusterCmd(flag.Args()[1:]) })
 	case "all":
 		run("fig4", fig4)
 		run("table1+table2+fig5", fig5) // fig5 subsumes tables I and II
@@ -310,71 +263,6 @@ func taxonomy() error {
 		return err
 	}
 	exp.PrintTaxonomy(os.Stdout, rows)
-	return nil
-}
-
-// parscale runs the real-parallel scaling experiment on the
-// internal/par backend: GOMAXPROCS swept from 1 to -maxworkers (NumCPU
-// by default), RIPS, work stealing and the hierarchical hybrid side by
-// side. -app selects the workload family (the Table I contrast on real
-// cores: nq, ida or gromos); -n is that family's size knob; -domains
-// shapes the hybrid partition (0 auto-detects the machine's affinity
-// domains). Invariant checks (conservation, Theorem 1 balance) run
-// inside every system phase unless disabled via RIPS_INVARIANTS.
-// -smoke shrinks the run to seconds for CI.
-func parscale(args []string) error {
-	fs := flag.NewFlagSet("parscale", flag.ExitOnError)
-	family := fs.String("app", "nq", "workload family: nq, ida or gromos")
-	size := fs.Int("n", 0, "family size (nq board / ida config 1-3 / gromos cutoff in A); 0 picks the default")
-	reps := fs.Int("reps", 3, "runs per point; the fastest is kept")
-	domains := fs.Int("domains", 0, "hybrid affinity-domain count (0 auto-detects; clamped per point)")
-	maxWorkers := fs.Int("maxworkers", 0, "top of the worker sweep; 0 means NumCPU (larger values oversubscribe)")
-	smoke := fs.Bool("smoke", false, "tiny CI run: reduced workload, 1-2 workers, one rep")
-	jsonPath := fs.String("json", "", "also write the BENCH_par.json trajectory (scaling curve + serial-vs-parallel system-phase comparison) to this path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *maxWorkers == 0 {
-		*maxWorkers = runtime.NumCPU()
-	}
-	counts := exp.ParScaleCounts(*maxWorkers)
-	if *smoke {
-		*reps = 1
-		counts = exp.ParScaleCounts(min(2, *maxWorkers))
-		if *family == "nq" && *size == 0 {
-			*size = 10
-		}
-	}
-	a, err := rips.LookupApp(*family, *size)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ripsbench: parscale %s on %d cores, worker counts %v, %d reps, hybrid domains %d (invariants: %v)\n",
-		a.Name(), runtime.NumCPU(), counts, *reps, *domains, invariant.Enabled())
-	pts, err := exp.ParScale(a, counts, *reps, 0, *domains, *seed)
-	if err != nil {
-		return err
-	}
-	exp.PrintParScale(os.Stdout, a, pts)
-	if *jsonPath == "" {
-		return nil
-	}
-	// The headline comparison runs on a 16-worker mesh regardless of
-	// the host core count (Cores in the JSON records the truth): the
-	// per-phase number isolates the stop-the-world system-phase cost
-	// under a controlled heavy migration, which the parallel apply
-	// attacks.
-	sp := exp.SystemPhaseCompare(16, 2048, 8, *reps)
-	f, err := os.Create(*jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := exp.WriteParScaleJSON(f, a, *reps, pts, sp); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ripsbench: wrote %s (serial %v/phase vs parallel %v/phase at %d workers)\n",
-		*jsonPath, time.Duration(sp.SerialNsPerPhase), time.Duration(sp.ParallelNsPerPhase), sp.Workers)
 	return nil
 }
 

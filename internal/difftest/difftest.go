@@ -218,14 +218,7 @@ func guard(cfg Config, backend string, f func() *Failure) (out *Failure) {
 
 func (h *Harness) checkSimulate(cfg Config, e *appEntry) *Failure {
 	return guard(cfg, BackendSimulate, func() *Failure {
-		rc := ripsrt.Config{
-			Topo:   cfg.machine(),
-			App:    e.app,
-			Local:  cfg.Local,
-			Global: cfg.Global,
-			Seed:   cfg.Seed,
-		}
-		res, err := ripsrt.Run(rc)
+		res, err := ripsrt.Run(cfg.simConfig(e.app))
 		if err != nil {
 			return &Failure{Config: cfg, Backend: BackendSimulate, Reason: err.Error()}
 		}

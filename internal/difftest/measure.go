@@ -3,85 +3,46 @@ package difftest
 import (
 	"fmt"
 
-	"rips/internal/par"
+	"rips/internal/app"
 	"rips/internal/ripsrt"
 )
 
-// Measurement bundles the raw per-backend results of one lattice
-// point, for the perf-regression harness (internal/perfreg). The
-// simulator result is a pure function of the configuration — virtual
-// time, overhead and the task/migration counters reproduce exactly on
-// any machine — while the two par results carry real wall-clock and
-// schedule-dependent counters (waves, steals) that vary run to run and
-// are therefore only advisory to a committed baseline.
-type Measurement struct {
-	Config Config
-	Sim    ripsrt.Result
-	RIPS   par.Result
-	Steal  par.Result
-	Hybrid par.Result
+// simConfig is the configuration's simulator run: the one leg whose
+// result is a pure function of the configuration.
+func (c Config) simConfig(a app.App) ripsrt.Config {
+	return ripsrt.Config{
+		Topo:   c.machine(),
+		App:    a,
+		Local:  c.Local,
+		Global: c.Global,
+		Seed:   c.Seed,
+	}
 }
 
-// Measure runs one configuration on the virtual-time simulator and on
-// both real-parallel strategies and returns the raw results. Unlike
-// Check it uses the production scheduling defaults (no forced parallel
-// apply, invariants at their build default) so the numbers describe
-// what users run, not the stress configuration — but it still refuses
-// to report a measurement whose answers diverge from the sequential
-// truth: a performance baseline recorded off a wrong run would gate
-// future changes on garbage.
-func (h *Harness) Measure(cfg Config) (Measurement, error) {
+// Measure runs one configuration on the virtual-time simulator and
+// returns the raw result for the lattice gate (internal/perfreg):
+// virtual time, overhead and the task/migration counters reproduce
+// exactly on any machine. Unlike Check it leaves invariants at their
+// build default, so the numbers describe what users run — but it still
+// refuses to report a measurement whose answer diverges from the
+// sequential truth: a baseline recorded off a wrong run would gate
+// future changes on garbage. Answer equality across the real backends
+// is Check's job; their wall-clock numbers are `go run ./bench`'s.
+func (h *Harness) Measure(cfg Config) (ripsrt.Result, error) {
 	if err := cfg.validate(); err != nil {
-		return Measurement{}, err
+		return ripsrt.Result{}, err
 	}
 	e, err := h.entry(cfg.App)
 	if err != nil {
-		return Measurement{}, err
+		return ripsrt.Result{}, err
 	}
-	m := Measurement{Config: cfg}
-
-	m.Sim, err = ripsrt.Run(ripsrt.Config{
-		Topo:   cfg.machine(),
-		App:    e.app,
-		Local:  cfg.Local,
-		Global: cfg.Global,
-		Seed:   cfg.Seed,
-	})
+	res, err := ripsrt.Run(cfg.simConfig(e.app))
 	if err != nil {
-		return Measurement{}, fmt.Errorf("difftest: measuring [%s] on %s: %w", cfg, BackendSimulate, err)
+		return ripsrt.Result{}, fmt.Errorf("difftest: measuring [%s] on %s: %w", cfg, BackendSimulate, err)
 	}
 	if f := compare(cfg, BackendSimulate, e.truth,
-		m.Sim.AppResult, m.Sim.Generated, m.Sim.Executed, m.Sim.VirtualWork); f != nil {
-		return Measurement{}, f
+		res.AppResult, res.Generated, res.Executed, res.VirtualWork); f != nil {
+		return ripsrt.Result{}, f
 	}
-
-	for _, b := range []struct {
-		name    string
-		strat   par.Strategy
-		domains int
-		into    *par.Result
-	}{
-		{BackendParallel, par.RIPS, 0, &m.RIPS},
-		{BackendSteal, par.Steal, 0, &m.Steal},
-		{BackendHybrid, par.Hybrid, cfg.Domains, &m.Hybrid},
-	} {
-		res, err := par.Run(par.Config{
-			Topo:     cfg.machine(),
-			App:      e.app,
-			Strategy: b.strat,
-			Domains:  b.domains,
-			Local:    cfg.Local,
-			Global:   cfg.Global,
-			Seed:     cfg.Seed,
-		})
-		if err != nil {
-			return Measurement{}, fmt.Errorf("difftest: measuring [%s] on %s: %w", cfg, b.name, err)
-		}
-		if f := compare(cfg, b.name, e.truth,
-			res.AppResult, res.Generated, res.Executed, res.VirtualWork); f != nil {
-			return Measurement{}, f
-		}
-		*b.into = res
-	}
-	return m, nil
+	return res, nil
 }

@@ -170,9 +170,8 @@ func BenchmarkExchange(b *testing.B) {
 // BenchmarkSystemPhase measures one full stop-the-world system phase on
 // a 16-worker mesh with a heavily skewed load (even workers hold 4096
 // tasks, odd workers none), comparing the serial leader-only plan
-// application against the waved parallel apply; ripsbench parscale
-// -json records it in BENCH_par.json alongside the machine's core
-// count.
+// application against the waved parallel apply; `go run ./bench
+// -trace 1` reports the parallel side as par.system_phase_us.
 func BenchmarkSystemPhase(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		benchmarkSystemPhase(b, Config{ParallelApplyMin: math.MaxInt})

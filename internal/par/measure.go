@@ -17,10 +17,10 @@ import (
 // given number of phases and returns the mean phase time plus the
 // number of parallel-apply waves fanned out (0 when serial).
 //
-// This is the measurement behind `ripsbench parscale -json`'s
-// system_phase comparison and mirrors BenchmarkSystemPhase: unlike a
-// full app run it cannot under-measure on few cores, where a fast
-// worker drains a small workload before any unbalanced phase fires.
+// This is the measurement behind bench's par.system_phase_us layer
+// metric and mirrors BenchmarkSystemPhase: unlike a full app run it
+// cannot under-measure on few cores, where a fast worker drains a
+// small workload before any unbalanced phase fires.
 func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.Duration, int64) {
 	cfg := Config{Topo: topo.SquarishMesh(workers), ParallelApplyMin: -1}
 	if serial {

@@ -34,8 +34,9 @@
 // it — RIPS one worker per domain, Hybrid the machine's NUMA domains,
 // Steal one domain spanning the machine — so RIPS versus work-stealing
 // is an apples-to-apples wall-clock comparison over one worker layout,
-// one deque, one barrier and one detector — the benchmark
-// cmd/ripsbench parscale reports them side by side.
+// one deque, one barrier and one detector — `go run ./bench` reports
+// them as the par_fine and steal_fine workloads and the
+// par.hybrid.* layer metrics.
 //
 // Because this backend measures real elapsed time, its files carry
 // file-scope wallclock waivers (see the policy in internal/analysis):
@@ -304,55 +305,6 @@ type Result struct {
 	// the abort: Executed may be less than Generated (the difference is
 	// the abandoned tasks) and AppResult is a partial count.
 	Canceled bool
-}
-
-// Metric names of Result.Metrics, in the order the accessor emits
-// them. These are the stable vocabulary of the performance-regression
-// harness (internal/perfreg) and its BENCH_lattice.json artifact:
-// renaming one is a schema change, so the names live here as constants
-// rather than ad-hoc strings at every consumer.
-const (
-	MetricWallNS     = "wall_ns"
-	MetricBusyNS     = "busy_ns"
-	MetricOverheadNS = "overhead_ns"
-	MetricIdleNS     = "idle_ns"
-	MetricGenerated  = "generated"
-	MetricExecuted   = "executed"
-	MetricNonlocal   = "nonlocal"
-	MetricMigrated   = "migrated"
-	MetricSteals     = "steals"
-	MetricPhases     = "phases"
-	MetricWaves      = "waves"
-	MetricPhaseSum   = "phase_sum"
-	MetricPhaseMax   = "phase_max"
-	MetricDomains    = "domains"
-	MetricXSteals    = "cross_steals"
-)
-
-// Metrics flattens the Result's measures into the stable name → value
-// form consumed by the perf-regression harness and trend artifacts.
-// Names are the Metric* constants; durations are integer nanoseconds.
-// The accessor is the compatibility surface: Result fields may be
-// reorganized, but a name emitted here keeps its meaning (and its
-// presence) across versions of the rips-lattice artifact schema.
-func (r *Result) Metrics() map[string]int64 {
-	return map[string]int64{
-		MetricWallNS:     int64(r.Wall),
-		MetricBusyNS:     int64(r.Busy),
-		MetricOverheadNS: int64(r.Overhead),
-		MetricIdleNS:     int64(r.Idle),
-		MetricGenerated:  r.Generated,
-		MetricExecuted:   r.Executed,
-		MetricNonlocal:   r.Nonlocal,
-		MetricMigrated:   r.Migrated,
-		MetricSteals:     r.Steals,
-		MetricPhases:     r.Phases,
-		MetricWaves:      r.Waves,
-		MetricPhaseSum:   r.PhaseSum,
-		MetricPhaseMax:   int64(r.PhaseMax),
-		MetricDomains:    int64(r.Domains),
-		MetricXSteals:    r.CrossSteals,
-	}
 }
 
 // Run executes the workload on real cores and returns the wall-clock

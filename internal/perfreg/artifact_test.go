@@ -4,36 +4,27 @@ import (
 	"testing"
 
 	"rips/internal/difftest"
-	"rips/internal/par"
 )
 
 // TestBenchLatticeArtifactSchema golden-checks the committed
-// BENCH_lattice.json: it must load through ReadFile (schema tag,
-// non-empty), every probe point must parse back into a lattice
-// configuration, the smoke flag must be honest about the app pool, and
-// every entry must carry the full exact vocabulary with sane values —
-// the compare gate is only as strong as the committed baseline.
+// BENCH_lattice.json: it must load through ReadFile (rips-lattice/v2,
+// no key outside the exact-only schema, every probe point a lattice
+// configuration carrying the whole exact vocabulary), be the 24-point
+// smoke grid CI gates on, be honest about the app pool, and hold sane
+// values — the compare gate is only as strong as the committed
+// baseline.
 func TestBenchLatticeArtifactSchema(t *testing.T) {
 	doc, err := ReadFile("../../BENCH_lattice.json")
 	if err != nil {
 		t.Fatalf("committed baseline does not load: %v", err)
 	}
+	if doc.Schema != "rips-lattice/v2" || !doc.Smoke || len(doc.Entries) != 24 {
+		t.Errorf("baseline is schema %q, smoke %v, %d probe points; want rips-lattice/v2, the smoke grid, 24",
+			doc.Schema, doc.Smoke, len(doc.Entries))
+	}
 	heavy := map[string]bool{}
 	for _, s := range difftest.Apps() {
 		heavy[s.Name] = s.Heavy
-	}
-	requiredExact := []string{
-		ExactTasks, ExactAppResult, ExactPhases, ExactMigrated,
-		ExactNonlocal, ExactVirtualTimeNS, ExactVirtualOverheadNS, ExactVirtualIdleNS,
-	}
-	requiredAdvisory := []string{
-		AdvisoryRIPSPrefix + par.MetricWallNS,
-		AdvisoryRIPSPrefix + par.MetricWaves,
-		AdvisoryStealPrefix + par.MetricWallNS,
-		AdvisoryStealPrefix + par.MetricSteals,
-		AdvisoryHybridPrefix + par.MetricWallNS,
-		AdvisoryHybridPrefix + par.MetricSteals,
-		AdvisoryHybridPrefix + par.MetricDomains,
 	}
 	seen := map[string]bool{}
 	for _, e := range doc.Entries {
@@ -49,7 +40,7 @@ func TestBenchLatticeArtifactSchema(t *testing.T) {
 		if doc.Smoke && heavy[cfg.App] {
 			t.Errorf("smoke baseline carries heavy app %q", cfg.App)
 		}
-		for _, k := range requiredExact {
+		for _, k := range exactNames {
 			v, ok := e.Exact[k]
 			if !ok {
 				t.Errorf("[%s] missing exact metric %q", e.Config, k)
@@ -61,11 +52,6 @@ func TestBenchLatticeArtifactSchema(t *testing.T) {
 		if e.Exact[ExactTasks] <= 0 || e.Exact[ExactVirtualTimeNS] <= 0 {
 			t.Errorf("[%s] degenerate run: tasks=%d virtual_time=%d",
 				e.Config, e.Exact[ExactTasks], e.Exact[ExactVirtualTimeNS])
-		}
-		for _, k := range requiredAdvisory {
-			if _, ok := e.Advisory[k]; !ok {
-				t.Errorf("[%s] missing advisory metric %q", e.Config, k)
-			}
 		}
 	}
 }

@@ -4,48 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"rips/internal/difftest"
 	"rips/internal/ripsrt"
 )
-
-// Options tune the advisory (real-time) drift thresholds. Exact
-// metrics take no options: they are compared bit-for-bit.
-type Options struct {
-	// Ratio is the multiplicative slack for advisory regressions: a
-	// value is drifting only if got > want*Ratio. 0 means the default.
-	Ratio float64
-	// MinWallDeltaNS additionally gates *_ns advisory metrics: small
-	// absolute wall differences are scheduler noise even at large
-	// ratios (a 2 µs phase doubling to 4 µs means nothing).
-	MinWallDeltaNS int64
-	// MinCounterDelta gates non-duration advisory counters (waves,
-	// steals) the same way.
-	MinCounterDelta int64
-}
-
-// Default advisory thresholds: double-or-worse, and at least 25 ms of
-// real regression (or 16 counted events) before a warning is worth a
-// human's attention.
-const (
-	DefaultRatio           = 2.0
-	DefaultMinWallDeltaNS  = 25_000_000
-	DefaultMinCounterDelta = 16
-)
-
-func (o Options) withDefaults() Options {
-	if o.Ratio == 0 {
-		o.Ratio = DefaultRatio
-	}
-	if o.MinWallDeltaNS == 0 {
-		o.MinWallDeltaNS = DefaultMinWallDeltaNS
-	}
-	if o.MinCounterDelta == 0 {
-		o.MinCounterDelta = DefaultMinCounterDelta
-	}
-	return o
-}
 
 // Drift is one metric disagreeing between baseline and current.
 type Drift struct {
@@ -53,27 +16,30 @@ type Drift struct {
 	Metric string
 	Want   int64 // baseline value
 	Got    int64 // current value
-	Exact  bool  // exact drifts fail the comparison, advisory ones warn
+	// Absent names the side that does not carry the metric at all
+	// ("baseline" or "current"); empty when both do and the values
+	// differ.
+	Absent string
 }
 
 func (d Drift) String() string {
-	kind := "advisory"
-	if d.Exact {
-		kind = "EXACT"
+	got, want := strconv.FormatInt(d.Got, 10), strconv.FormatInt(d.Want, 10)
+	switch d.Absent {
+	case "baseline":
+		want = "absent"
+	case "current":
+		got = "absent"
 	}
-	return fmt.Sprintf("%s drift [%s] %s: got %d, baseline %d", kind, d.Config, d.Metric, d.Got, d.Want)
+	return fmt.Sprintf("EXACT drift [%s] %s: got %s, baseline %s", d.Config, d.Metric, got, want)
 }
 
 // Report is the outcome of one baseline comparison.
 type Report struct {
 	// Entries is the number of baseline entries compared.
 	Entries int
-	// Exact holds deterministic-metric drifts; any entry here fails
-	// the comparison.
+	// Exact holds the metric drifts; any entry here fails the
+	// comparison.
 	Exact []Drift
-	// Advisory holds real-time drifts beyond the noise thresholds;
-	// informational.
-	Advisory []Drift
 	// Missing lists baseline configurations absent from the current
 	// measurement — also fatal: a probe point that can no longer run
 	// is itself a regression.
@@ -85,7 +51,7 @@ type Report struct {
 func (r *Report) Failed() bool { return len(r.Exact)+len(r.Missing) > 0 }
 
 // Print streams the report in log form: exact drifts, then missing
-// points, then advisory warnings.
+// points.
 func (r *Report) Print(w io.Writer) {
 	for _, d := range r.Exact {
 		fmt.Fprintln(w, d)
@@ -93,33 +59,35 @@ func (r *Report) Print(w io.Writer) {
 	for _, c := range r.Missing {
 		fmt.Fprintf(w, "MISSING [%s]: baseline probe point was not measured\n", c)
 	}
-	for _, d := range r.Advisory {
-		fmt.Fprintln(w, d)
-	}
-	fmt.Fprintf(w, "compared %d lattice points: %d exact drifts, %d missing, %d advisory warnings\n",
-		r.Entries, len(r.Exact), len(r.Missing), len(r.Advisory))
+	fmt.Fprintf(w, "compared %d lattice points: %d exact drifts, %d missing\n",
+		r.Entries, len(r.Exact), len(r.Missing))
 }
 
-// sortedKeys iterates maps deterministically so reports (and tests
-// over them) are stable.
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
+// unionKeys returns the metric names of either map, sorted so reports
+// (and tests over them) are stable.
+func unionKeys(a, b map[string]int64) []string {
+	keys := make([]string, 0, len(a))
+	for k := range a {
 		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys
 }
 
 // Compare checks a fresh measurement against the committed baseline.
-// Exact metrics must match bit-for-bit — they are pure functions of
+// Metrics must match bit-for-bit — they are pure functions of
 // configuration and seed, so any difference is a behavioral change in
 // the scheduling protocol, intended (then regenerate the baseline with
-// -update) or not (a regression). Advisory metrics warn on regressions
-// beyond the Options thresholds and never gate. Entries present only
-// in current are ignored: the baseline defines the probe grid.
-func Compare(baseline, current *Document, opts Options) *Report {
-	opts = opts.withDefaults()
+// -update) or not (a regression). A metric only one side carries is a
+// drift too: a quantity the baseline never recorded is not gated until
+// the baseline is regenerated. Entries present only in current are
+// ignored: the baseline defines the probe grid.
+func Compare(baseline, current *Document) *Report {
 	rep := &Report{}
 	cur := make(map[string]Entry, len(current.Entries))
 	for _, e := range current.Entries {
@@ -132,32 +100,19 @@ func Compare(baseline, current *Document, opts Options) *Report {
 			rep.Missing = append(rep.Missing, be.Config)
 			continue
 		}
-		for _, k := range sortedKeys(be.Exact) {
-			want := be.Exact[k]
-			got, ok := ce.Exact[k]
-			if ok && got == want {
+		for _, k := range unionKeys(be.Exact, ce.Exact) {
+			want, inBase := be.Exact[k]
+			got, inCur := ce.Exact[k]
+			d := Drift{Config: be.Config, Metric: k, Want: want, Got: got}
+			switch {
+			case !inBase:
+				d.Absent = "baseline"
+			case !inCur:
+				d.Absent = "current"
+			case got == want:
 				continue
 			}
-			rep.Exact = append(rep.Exact, Drift{Config: be.Config, Metric: k, Want: want, Got: got, Exact: true})
-		}
-		for _, k := range sortedKeys(be.Advisory) {
-			want := be.Advisory[k]
-			got, ok := ce.Advisory[k]
-			if !ok {
-				continue // vocabulary change; advisory metrics don't gate
-			}
-			delta := got - want
-			if float64(got) <= float64(want)*opts.Ratio {
-				continue
-			}
-			minDelta := opts.MinCounterDelta
-			if strings.HasSuffix(k, "_ns") {
-				minDelta = opts.MinWallDeltaNS
-			}
-			if delta <= minDelta {
-				continue
-			}
-			rep.Advisory = append(rep.Advisory, Drift{Config: be.Config, Metric: k, Want: want, Got: got})
+			rep.Exact = append(rep.Exact, d)
 		}
 	}
 	return rep
@@ -169,7 +124,7 @@ func Compare(baseline, current *Document, opts Options) *Report {
 // policy, smallest seed. The baseline is defined only at its recorded
 // probe points, so unlike difftest.Shrink the reproducer cannot wander
 // off-lattice — MinimalRepro picks the cheapest *failing* point.
-func configCost(c difftest.Config) [6]int {
+func configCost(c difftest.Config) [5]int {
 	appRank := 0
 	for i, s := range difftest.Apps() {
 		if s.Name == c.App {
@@ -185,10 +140,10 @@ func configCost(c difftest.Config) [6]int {
 	if c.Local == ripsrt.Eager {
 		policyRank++
 	}
-	return [6]int{appRank, c.Workers, topoRank, policyRank, int(c.Seed), 0}
+	return [5]int{appRank, c.Workers, topoRank, policyRank, int(c.Seed)}
 }
 
-func costLess(a, b [6]int) bool {
+func costLess(a, b [5]int) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return a[i] < b[i]

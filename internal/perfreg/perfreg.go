@@ -1,26 +1,18 @@
-// Package perfreg is the lattice-guided performance-regression
-// harness: it reuses the differential-testing lattice (app × topology
-// × policy × seed, see internal/difftest) as a performance probe grid,
-// records per-configuration scheduling metrics into a versioned
-// artifact (BENCH_lattice.json, schema rips-lattice/v1), and compares
-// fresh measurements against a committed baseline.
+// Package perfreg is the lattice gate on the scheduling protocol's
+// behaviour: it reuses the differential-testing lattice (app × topology
+// × policy × seed, see internal/difftest) as a probe grid, records
+// per-configuration scheduling metrics into a versioned artifact
+// (BENCH_lattice.json, schema rips-lattice/v2), and compares fresh
+// measurements against a committed baseline.
 //
-// The central design problem is that a committed baseline must compare
-// exactly on any machine, while real-parallel numbers never do. The
-// harness splits the metrics accordingly:
-//
-//   - Exact metrics come from the virtual-time simulator (ripsrt),
-//     whose results — virtual execution time T, per-node overhead Th,
-//     task/migration/phase counters, the paper's Table I quantities —
-//     are pure functions of the configuration and seed. Any drift in
-//     an exact metric means the scheduling protocol itself changed
-//     behavior, and the comparison fails.
-//
-//   - Advisory metrics come from the real-parallel backends (RIPS and
-//     work-stealing, internal/par): wall clock, busy/idle split, wave
-//     and steal counts. They depend on the machine and the OS
-//     scheduler, so drift is reported with noise-aware thresholds but
-//     never fails the comparison.
+// A committed baseline must compare exactly on any machine, so every
+// metric comes from the virtual-time simulator (ripsrt), whose results
+// — virtual execution time T, per-node overhead Th, task/migration/
+// phase counters, the paper's Table I quantities — are pure functions
+// of the configuration and seed. Any drift means the scheduling
+// protocol itself changed behavior, and the comparison fails.
+// Wall-clock performance of the real backends is not recorded here: it
+// depends on the machine, and `go run ./bench` is where it is measured.
 //
 // A failing comparison is accompanied by a minimal reproducer
 // configuration (see MinimalRepro) printed in the canonical form
@@ -28,23 +20,24 @@
 package perfreg
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"rips/internal/difftest"
 	"rips/internal/ripsrt"
 )
 
 // Schema identifies the BENCH_lattice.json wire format. Bump on any
-// incompatible change to Document or the metric vocabulary.
-const Schema = "rips-lattice/v1"
+// incompatible change to Document or the metric vocabulary. v2 carries
+// no machine-dependent key: the document is deterministic.
+const Schema = "rips-lattice/v2"
 
 // Names of the exact (simulator-derived, machine-independent) metrics.
-// Like par.Metric*, these are schema vocabulary: renaming one is an
-// artifact-format change.
+// These are schema vocabulary: renaming one is an artifact-format
+// change.
 const (
 	ExactTasks             = "tasks"
 	ExactAppResult         = "app_result"
@@ -56,13 +49,11 @@ const (
 	ExactVirtualIdleNS     = "virtual_idle_ns"
 )
 
-// Advisory metric names are the par.Metric* vocabulary prefixed with
-// the backend that produced them.
-const (
-	AdvisoryRIPSPrefix   = "rips_"
-	AdvisoryStealPrefix  = "steal_"
-	AdvisoryHybridPrefix = "hybrid_"
-)
+// exactNames is the full vocabulary; every entry carries all of it.
+var exactNames = []string{
+	ExactTasks, ExactAppResult, ExactPhases, ExactMigrated,
+	ExactNonlocal, ExactVirtualTimeNS, ExactVirtualOverheadNS, ExactVirtualIdleNS,
+}
 
 // Entry is one measured lattice point. Config is the canonical
 // difftest string form (`app=nq12 topo=mesh:2x4 policy=any-lazy
@@ -70,9 +61,8 @@ const (
 // carries its own probe grid — compare mode re-measures exactly the
 // configurations recorded here, never a fresh sample.
 type Entry struct {
-	Config   string           `json:"config"`
-	Exact    map[string]int64 `json:"exact"`
-	Advisory map[string]int64 `json:"advisory"`
+	Config string           `json:"config"`
+	Exact  map[string]int64 `json:"exact"`
 }
 
 // Document is the artifact root.
@@ -80,13 +70,8 @@ type Document struct {
 	Schema string `json:"schema"`
 	// Seed and Smoke record how the probe grid was sampled (see
 	// difftest.Sample); informational once the entries exist.
-	Seed  int64 `json:"seed"`
-	Smoke bool  `json:"smoke"`
-	// Cores, GoOS and GoArch describe the machine that produced the
-	// advisory numbers; exact numbers are machine-independent.
-	Cores   int     `json:"cores"`
-	GoOS    string  `json:"goos"`
-	GoArch  string  `json:"goarch"`
+	Seed    int64   `json:"seed"`
+	Smoke   bool    `json:"smoke"`
 	Entries []Entry `json:"entries"`
 }
 
@@ -119,49 +104,22 @@ func exactMetrics(r ripsrt.Result) map[string]int64 {
 	}
 }
 
-// advisoryMetrics merges the real-parallel backends' stable metric
-// maps (par.Result.Metrics) under backend prefixes.
-func advisoryMetrics(m difftest.Measurement) map[string]int64 {
-	out := make(map[string]int64, 3*14)
-	for name, v := range m.RIPS.Metrics() {
-		out[AdvisoryRIPSPrefix+name] = v
-	}
-	for name, v := range m.Steal.Metrics() {
-		out[AdvisoryStealPrefix+name] = v
-	}
-	for name, v := range m.Hybrid.Metrics() {
-		out[AdvisoryHybridPrefix+name] = v
-	}
-	return out
-}
-
 // MeasureEntry measures one lattice point into artifact form.
 func MeasureEntry(h *difftest.Harness, cfg difftest.Config) (Entry, error) {
-	m, err := h.Measure(cfg)
+	res, err := h.Measure(cfg)
 	if err != nil {
 		return Entry{}, err
 	}
-	return Entry{
-		Config:   cfg.String(),
-		Exact:    exactMetrics(m.Sim),
-		Advisory: advisoryMetrics(m),
-	}, nil
+	return Entry{Config: cfg.String(), Exact: exactMetrics(res)}, nil
 }
 
-// Measure runs every configuration through the three backends and
-// builds the artifact document. A measurement error (including an
-// answer diverging from the sequential truth) aborts: a baseline or a
-// comparison computed from a wrong run would be worse than none. When
-// progress is non-nil one line per configuration is streamed to it.
+// Measure runs every configuration on the simulator and builds the
+// artifact document. A measurement error (including an answer diverging
+// from the sequential truth) aborts: a baseline or a comparison
+// computed from a wrong run would be worse than none. When progress is
+// non-nil one line per configuration is streamed to it.
 func Measure(h *difftest.Harness, cfgs []difftest.Config, seed int64, smoke bool, progress io.Writer) (*Document, error) {
-	doc := &Document{
-		Schema: Schema,
-		Seed:   seed,
-		Smoke:  smoke,
-		Cores:  runtime.NumCPU(),
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-	}
+	doc := &Document{Schema: Schema, Seed: seed, Smoke: smoke}
 	for i, cfg := range cfgs {
 		e, err := MeasureEntry(h, cfg)
 		if err != nil {
@@ -178,8 +136,8 @@ func Measure(h *difftest.Harness, cfgs []difftest.Config, seed int64, smoke bool
 
 // Encode renders the document as indented JSON with a trailing
 // newline. encoding/json emits map keys sorted, so the byte form is
-// deterministic for fixed metric values — regenerating a baseline on
-// the same code produces an identical exact section.
+// deterministic — regenerating a baseline on the same code produces an
+// identical file.
 func Encode(d *Document) ([]byte, error) {
 	b, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
@@ -206,17 +164,38 @@ func ReadFile(path string) (*Document, error) {
 	return Decode(b)
 }
 
-// Decode parses and schema-checks a document.
+// Decode parses and checks a document: the schema tag, no keys this
+// build does not know, and in every entry a configuration that parses
+// and the whole exact vocabulary. A baseline that loads can gate; one
+// with nothing to compare must not pass by comparing nothing.
 func Decode(b []byte) (*Document, error) {
-	var d Document
-	if err := json.Unmarshal(b, &d); err != nil {
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(b, &head); err != nil {
 		return nil, fmt.Errorf("perfreg: decoding baseline: %w", err)
 	}
-	if d.Schema != Schema {
-		return nil, fmt.Errorf("perfreg: baseline schema %q, this build reads %q", d.Schema, Schema)
+	if head.Schema != Schema {
+		return nil, fmt.Errorf("perfreg: baseline schema %q, this build reads %q: regenerate with `ripsbench lattice -update`", head.Schema, Schema)
+	}
+	var d Document
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
+		return nil, fmt.Errorf("perfreg: decoding baseline: %w", err)
 	}
 	if len(d.Entries) == 0 {
 		return nil, fmt.Errorf("perfreg: baseline has no entries")
+	}
+	if _, err := d.Configs(); err != nil {
+		return nil, err
+	}
+	for _, e := range d.Entries {
+		for _, name := range exactNames {
+			if _, ok := e.Exact[name]; !ok {
+				return nil, fmt.Errorf("perfreg: entry %q has no exact metric %q", e.Config, name)
+			}
+		}
 	}
 	return &d, nil
 }

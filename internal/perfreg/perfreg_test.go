@@ -40,13 +40,9 @@ func copyDoc(d *Document) *Document {
 	out := *d
 	out.Entries = make([]Entry, len(d.Entries))
 	for i, e := range d.Entries {
-		out.Entries[i] = Entry{Config: e.Config,
-			Exact: map[string]int64{}, Advisory: map[string]int64{}}
+		out.Entries[i] = Entry{Config: e.Config, Exact: map[string]int64{}}
 		for k, v := range e.Exact {
 			out.Entries[i].Exact[k] = v
-		}
-		for k, v := range e.Advisory {
-			out.Entries[i].Advisory[k] = v
 		}
 	}
 	return &out
@@ -71,7 +67,7 @@ func TestExactMetricsDeterministic(t *testing.T) {
 // against an independent re-measurement) has no exact drift.
 func TestCompareCleanBaseline(t *testing.T) {
 	base := measureGrid(t)
-	rep := Compare(base, measureGrid(t), Options{})
+	rep := Compare(base, measureGrid(t))
 	if rep.Failed() {
 		rep.Print(testWriter{t})
 		t.Fatal("clean re-measurement failed the baseline comparison")
@@ -95,7 +91,7 @@ func TestCompareDetectsInjectedDrift(t *testing.T) {
 	base.Entries[0].Exact[ExactMigrated]++
 	base.Entries[1].Exact[ExactPhases] += 3
 
-	rep := Compare(base, cur, Options{})
+	rep := Compare(base, cur)
 	if !rep.Failed() {
 		t.Fatal("injected exact drift did not fail the comparison")
 	}
@@ -122,7 +118,7 @@ func TestCompareMissingEntryFails(t *testing.T) {
 	base := measureGrid(t)
 	cur := copyDoc(base)
 	cur.Entries = cur.Entries[:1]
-	rep := Compare(base, cur, Options{})
+	rep := Compare(base, cur)
 	if !rep.Failed() || len(rep.Missing) != 1 {
 		t.Fatalf("dropped probe point not reported: failed=%v missing=%v", rep.Failed(), rep.Missing)
 	}
@@ -131,35 +127,35 @@ func TestCompareMissingEntryFails(t *testing.T) {
 	}
 }
 
-// TestAdvisoryThresholds: wall-clock regressions warn only beyond both
-// the ratio and the absolute floor, and never fail the comparison.
-func TestAdvisoryThresholds(t *testing.T) {
-	base := measureGrid(t)
-	cur := copyDoc(base)
-
-	// Huge regression: far over 2x and over the 25 ms floor.
-	cur.Entries[0].Advisory["rips_wall_ns"] = base.Entries[0].Advisory["rips_wall_ns"]*3 + 100_000_000
-	// Large ratio but tiny absolute delta: noise, no warning.
-	cur.Entries[1].Advisory["steal_wall_ns"] = base.Entries[1].Advisory["steal_wall_ns"]*5 + 1000
-
-	rep := Compare(base, cur, Options{})
-	if rep.Failed() {
-		t.Fatal("advisory drift failed the comparison; only exact metrics gate")
+// TestCompareOneSidedMetricDrifts: a metric only one side carries is a
+// drift, whichever side it is — a quantity the measurement gained is
+// not silently left ungated, and one it lost does not compare as 0.
+func TestCompareOneSidedMetricDrifts(t *testing.T) {
+	const cfg = "app=mg topo=mesh:1x2 policy=any-lazy seed=1"
+	doc := func(exact map[string]int64) *Document {
+		return &Document{Schema: Schema, Entries: []Entry{{Config: cfg, Exact: exact}}}
 	}
-	if len(rep.Advisory) != 1 {
-		t.Fatalf("got %d advisory warnings, want exactly the large regression: %v", len(rep.Advisory), rep.Advisory)
-	}
-	if d := rep.Advisory[0]; d.Metric != "rips_wall_ns" || d.Config != base.Entries[0].Config {
-		t.Errorf("warned on %v, want rips_wall_ns of %q", d, base.Entries[0].Config)
-	}
-	if !strings.Contains(rep.Advisory[0].String(), "advisory") {
-		t.Errorf("advisory drift renders as %q, want it labeled advisory", rep.Advisory[0].String())
+	for _, tc := range []struct {
+		name      string
+		base, cur map[string]int64
+		absent    string
+	}{
+		{"only in current", map[string]int64{ExactTasks: 5}, map[string]int64{ExactTasks: 5, "new_metric": 0}, "baseline"},
+		{"only in baseline", map[string]int64{ExactTasks: 5, "old_metric": 0}, map[string]int64{ExactTasks: 5}, "current"},
+	} {
+		rep := Compare(doc(tc.base), doc(tc.cur))
+		if !rep.Failed() || len(rep.Exact) != 1 {
+			t.Errorf("%s: failed=%v drifts=%v, want exactly one drift", tc.name, rep.Failed(), rep.Exact)
+			continue
+		}
+		if d := rep.Exact[0]; d.Absent != tc.absent || !strings.Contains(d.String(), "absent") {
+			t.Errorf("%s: drift %q (Absent=%q), want the metric reported absent from the %s", tc.name, d, d.Absent, tc.absent)
+		}
 	}
 }
 
-// TestEncodeDecodeRoundTrip also pins schema rejection: a document
-// from a future schema or with no entries refuses to load rather than
-// silently comparing nothing.
+// TestEncodeDecodeRoundTrip: a measured document survives the byte
+// form unchanged, and the byte form is deterministic.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	doc := measureGrid(t)
 	b, err := Encode(doc)
@@ -181,12 +177,38 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if string(b) != string(b2) {
 		t.Error("Encode is not deterministic for identical documents")
 	}
+}
 
-	if _, err := Decode([]byte(`{"schema":"rips-lattice/v999","entries":[{"config":"x"}]}`)); err == nil {
-		t.Error("foreign schema accepted")
+// TestDecodeRejects: a baseline that would gate nothing, or gate
+// something other than what this build measures, refuses to load
+// rather than letting `lattice -baseline FILE` pass vacuously.
+func TestDecodeRejects(t *testing.T) {
+	const (
+		cfg   = `"config":"app=mg topo=mesh:1x2 policy=any-lazy seed=1"`
+		exact = `"exact":{"tasks":1,"app_result":1,"phases":1,"migrated":1,"nonlocal":1,` +
+			`"virtual_time_ns":1,"virtual_overhead_ns":1,"virtual_idle_ns":1}`
+	)
+	v2 := func(entry string) string { return `{"schema":"` + Schema + `","entries":[{` + entry + `}]}` }
+	if _, err := Decode([]byte(v2(cfg + "," + exact))); err != nil {
+		t.Fatalf("the well-formed document the cases below are cut from does not load: %v", err)
 	}
-	if _, err := Decode([]byte(`{"schema":"` + Schema + `","entries":[]}`)); err == nil {
-		t.Error("empty baseline accepted")
+	for _, tc := range []struct {
+		name, doc, wantErr string
+	}{
+		{"old schema", `{"schema":"rips-lattice/v1","cores":1,"entries":[{` + cfg + "," + exact + `,"advisory":{}}]}`,
+			"regenerate with `ripsbench lattice -update`"},
+		{"no entries", `{"schema":"` + Schema + `","entries":[]}`, "no entries"},
+		{"empty exact", v2(cfg), ExactTasks},
+		{"one missing exact name", v2(cfg + "," + strings.Replace(exact, `"phases":1,`, "", 1)), ExactPhases},
+		{"bad config", v2(`"config":"app=nosuchapp",` + exact), "nosuchapp"},
+		{"stray advisory key", v2(cfg + "," + exact + `,"advisory":{"rips_wall_ns":1}`), "advisory"},
+	} {
+		_, err := Decode([]byte(tc.doc))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

@@ -167,9 +167,8 @@ func Apps() []string {
 	return names
 }
 
-// The built-in families: the paper's three applications, under the
-// names the parscale experiment introduced. Their size semantics are
-// part of the serving API surface (see JobSpec).
+// The built-in families: the paper's three applications. Their names
+// and size semantics are part of the serving API surface (see JobSpec).
 func init() {
 	RegisterApp("nq", func(size int) (App, error) {
 		if size == 0 {
