@@ -10,6 +10,15 @@
 // efficiency). Within a round, executing a task may spawn child tasks;
 // the runtime decides where children run — that placement policy is
 // exactly what the paper compares.
+//
+// A task's payload travels one of two ways. Spawn.Data is any value at
+// all; converting a non-pointer value to the interface allocates, once
+// per task. Spawn.W is three inline words, which fit the paper's
+// descriptors (a 16-byte N-Queens placement, a 17-byte IDA* frontier
+// state) and cost no allocation on the real-parallel engine; every
+// built-in app packs its payload there and leaves Data nil. A spawn
+// whose Data is nil carries its payload in W, and Execute then receives
+// a *Words.
 package app
 
 import (
@@ -17,11 +26,33 @@ import (
 	"rips/internal/sim"
 )
 
+// Words is an inline task payload: three words the App packs its task
+// descriptor into, by a layout of its own. It is a struct and not a
+// [3]uint64 because Go passes no array longer than one element in
+// registers: a Spawn with an array inside it reaches emit through the
+// stack, built word by word and copied in 16-byte loads that the 8-byte
+// stores before them cannot forward to — ~20 ns a child (DESIGN.md §7).
+type Words struct{ A, B, C uint64 }
+
 // Spawn is a task payload emitted by an App: the data the runtime
-// ships between nodes and its serialized size in bytes.
+// ships between nodes and its serialized size in bytes. The payload is
+// Data, or W when Data is nil.
 type Spawn struct {
 	Data any
+	W    Words
 	Size int
+}
+
+// Payload returns what Execute receives for this spawn: Data, or a
+// pointer to a fresh copy of W when Data is nil. Every executor that
+// stores its tasks as task.Task calls it once per task born; the
+// real-parallel engine keeps the words in its own task node instead.
+func (s Spawn) Payload() any {
+	if s.Data != nil {
+		return s.Data
+	}
+	w := s.W // a 24-byte copy escapes, not the whole spawn
+	return &w
 }
 
 // App is a deterministic task-parallel computation. Execute must be a
@@ -38,7 +69,10 @@ type App interface {
 	// computation on one processor and let the scheduler spread it).
 	Roots(round int) []Spawn
 	// Execute runs one task, emitting any children via emit and
-	// returning the virtual compute time the task consumed.
+	// returning the virtual compute time the task consumed. data is the
+	// spawn's Data, or a *Words holding its W when Data was nil. The
+	// *Words points into scratch the executor owns: Execute must not
+	// write through it, and must not use it after returning.
 	Execute(data any, emit func(Spawn)) sim.Time
 }
 
@@ -144,7 +178,7 @@ func Measure(a App) Profile {
 		for len(stack) > 0 {
 			t := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			w, res := ExecuteCount(a, t.Data, func(s Spawn) { stack = append(stack, s) })
+			w, res := ExecuteCount(a, t.Payload(), func(s Spawn) { stack = append(stack, s) })
 			p.Result += res
 			rp.Tasks++
 			rp.Work += w

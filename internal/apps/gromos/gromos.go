@@ -192,11 +192,16 @@ func (a *App) Rounds() int { return 1 }
 // of GROMOS tasks moving under RID and RIPS.
 func (a *App) BlockDistributed() bool { return true }
 
+// pack puts a charge-group index in the first inline payload word.
+func pack(g int32) app.Words { return app.Words{A: uint64(uint32(g))} }
+
+func unpack(w *app.Words) int32 { return int32(w.A) }
+
 // Roots returns all charge-group tasks.
 func (a *App) Roots(round int) []app.Spawn {
 	out := make([]app.Spawn, NumGroups)
 	for g := range out {
-		out[g] = app.Spawn{Data: int32(g), Size: 24}
+		out[g] = app.Spawn{W: pack(int32(g)), Size: 24}
 	}
 	return out
 }
@@ -219,7 +224,7 @@ func (a *App) Execute(data any, emit func(app.Spawn)) sim.Time {
 // over a run must equal TotalPairs however tasks were placed — a
 // direct proof that every charge group was executed exactly once.
 func (a *App) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
-	g := a.groups[data.(int32)]
+	g := a.groups[unpack(data.(*app.Words))]
 	w := sim.Time(0)
 	pairs := int64(0)
 	for i := g[0]; i < g[1]; i++ {
@@ -245,7 +250,8 @@ func (a *App) TotalPairs() int {
 func (a *App) DensitySkew() float64 {
 	var max, sum float64
 	for g := range a.groups {
-		w := float64(a.Execute(int32(g), nil))
+		task := pack(int32(g))
+		w := float64(a.Execute(&task, nil))
 		sum += w
 		if w > max {
 			max = w

@@ -53,7 +53,8 @@ func TestWorkGrowsWithCutoff(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	a, b := New(12), New(12)
 	for g := int32(0); g < 50; g++ {
-		if a.Execute(g, nil) != b.Execute(g, nil) {
+		task := pack(g)
+		if a.Execute(&task, nil) != b.Execute(&task, nil) {
 			t.Fatalf("group %d work differs between constructions", g)
 		}
 	}
@@ -99,7 +100,8 @@ func TestNeighborsBruteForceSpotCheck(t *testing.T) {
 func TestNoChildrenEmitted(t *testing.T) {
 	a := New(8)
 	emitted := 0
-	a.Execute(int32(0), func(app.Spawn) { emitted++ })
+	task := pack(0)
+	a.Execute(&task, func(app.Spawn) { emitted++ })
 	if emitted != 0 {
 		t.Errorf("static task emitted %d children", emitted)
 	}
@@ -138,8 +140,9 @@ func TestCounted(t *testing.T) {
 	}
 	var total int64
 	for g := int32(0); g < NumGroups; g++ {
-		w, pairs := a.ExecuteCount(g, nil)
-		if we := a.Execute(g, nil); we != w {
+		task := pack(g)
+		w, pairs := a.ExecuteCount(&task, nil)
+		if we := a.Execute(&task, nil); we != w {
 			t.Fatalf("group %d: Execute work %v != ExecuteCount work %v", g, we, w)
 		}
 		total += pairs

@@ -3,6 +3,8 @@ package gromos
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rips/internal/app"
 )
 
 // AppendPayload implements app.PayloadCodec: a task is a charge-group
@@ -11,11 +13,11 @@ import (
 // identical molecule from the fixed seed, so the index alone
 // reproduces the task.
 func (a *App) AppendPayload(dst []byte, data any) ([]byte, error) {
-	g, ok := data.(int32)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("gromos: payload %T is not a charge-group index", data)
 	}
-	return binary.BigEndian.AppendUint32(dst, uint32(g)), nil
+	return binary.BigEndian.AppendUint32(dst, uint32(unpack(w))), nil
 }
 
 // DecodePayload implements app.PayloadCodec.
@@ -27,5 +29,6 @@ func (a *App) DecodePayload(p []byte) (any, error) {
 	if g < 0 || g >= NumGroups {
 		return nil, fmt.Errorf("gromos: charge-group index %d out of range [0, %d)", g, NumGroups)
 	}
-	return g, nil
+	w := pack(g)
+	return &w, nil
 }

@@ -71,6 +71,15 @@ type gaussTask struct {
 	k, lo, hi int32
 }
 
+// pack puts one field in each inline payload word.
+func (t gaussTask) pack() app.Words {
+	return app.Words{A: uint64(uint32(t.k)), B: uint64(uint32(t.lo)), C: uint64(uint32(t.hi))}
+}
+
+func unpackGauss(w *app.Words) gaussTask {
+	return gaussTask{k: int32(w.A), lo: int32(w.B), hi: int32(w.C)}
+}
+
 func (g *Gauss) Roots(round int) []app.Spawn {
 	k := round
 	var out []app.Spawn
@@ -79,7 +88,7 @@ func (g *Gauss) Roots(round int) []app.Spawn {
 		if hi > g.n {
 			hi = g.n
 		}
-		out = append(out, app.Spawn{Data: gaussTask{k: int32(k), lo: int32(lo), hi: int32(hi)}, Size: 12})
+		out = append(out, app.Spawn{W: gaussTask{k: int32(k), lo: int32(lo), hi: int32(hi)}.pack(), Size: 12})
 	}
 	return out
 }
@@ -94,7 +103,7 @@ func (g *Gauss) Execute(data any, emit func(app.Spawn)) sim.Time {
 // matrix width. Summed over a run it must equal the elimination's
 // total operation count however tasks were placed.
 func (g *Gauss) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
-	t := data.(gaussTask)
+	t := unpackGauss(data.(*app.Words))
 	rows := int(t.hi - t.lo)
 	width := g.n - int(t.k) // remaining columns incl. the pivot column
 	ops := rows * width
@@ -125,6 +134,10 @@ type fftTask struct {
 	count int32 // butterflies in this task
 }
 
+func (t fftTask) pack() app.Words { return app.Words{A: uint64(uint32(t.count))} }
+
+func unpackFFT(w *app.Words) fftTask { return fftTask{count: int32(w.A)} }
+
 func (f *FFT) Roots(round int) []app.Spawn {
 	half := 1 << (f.logN - 1)
 	var out []app.Spawn
@@ -133,7 +146,7 @@ func (f *FFT) Roots(round int) []app.Spawn {
 		if lo+c > half {
 			c = half - lo
 		}
-		out = append(out, app.Spawn{Data: fftTask{count: int32(c)}, Size: 8})
+		out = append(out, app.Spawn{W: fftTask{count: int32(c)}.pack(), Size: 8})
 	}
 	return out
 }
@@ -146,7 +159,7 @@ func (f *FFT) Execute(data any, emit func(app.Spawn)) sim.Time {
 // ExecuteCount is Execute reporting also the task's flop count
 // (app.Counted): 10 flops per butterfly.
 func (f *FFT) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
-	ops := 10 * int64(data.(fftTask).count) // a butterfly is ~10 flops
+	ops := 10 * int64(unpackFFT(data.(*app.Words)).count) // a butterfly is ~10 flops
 	return sim.Time(ops) * costPerOp, ops
 }
 
@@ -204,6 +217,20 @@ type mgTask struct {
 	child bool  // a spawned refinement pass (does not re-spawn)
 }
 
+// pack puts lo above side in the first inline payload word, rows in the
+// second and the child flag in the third.
+func (t mgTask) pack() app.Words {
+	w := app.Words{A: uint64(uint32(t.lo))<<32 | uint64(uint32(t.side)), B: uint64(uint32(t.rows))}
+	if t.child {
+		w.C = 1
+	}
+	return w
+}
+
+func unpackMG(w *app.Words) mgTask {
+	return mgTask{side: int32(w.A), lo: int32(w.A >> 32), rows: int32(w.B), child: w.C != 0}
+}
+
 func (m *Multigrid) Roots(round int) []app.Spawn {
 	side := m.level(round)
 	var out []app.Spawn
@@ -212,7 +239,7 @@ func (m *Multigrid) Roots(round int) []app.Spawn {
 		if lo+c > side {
 			c = side - lo
 		}
-		out = append(out, app.Spawn{Data: mgTask{side: int32(side), lo: int32(lo), rows: int32(c)}, Size: 12})
+		out = append(out, app.Spawn{W: mgTask{side: int32(side), lo: int32(lo), rows: int32(c)}.pack(), Size: 12})
 	}
 	return out
 }
@@ -228,7 +255,7 @@ func (m *Multigrid) Execute(data any, emit func(app.Spawn)) sim.Time {
 // adaptive solver really performed — including the dynamically spawned
 // ones, which is exactly where a dropped child task would surface.
 func (m *Multigrid) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
-	t := data.(mgTask)
+	t := unpackMG(data.(*app.Words))
 	side := int(t.side)
 	// A 5-point smoothing sweep is ~6 flops per point.
 	work := 6 * int(t.rows) * side
@@ -241,7 +268,7 @@ func (m *Multigrid) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int6
 			oLo, oHi := max(lo, patchLo), min(hi, patchHi)
 			for pass := 1; pass < refineFactor; pass++ {
 				emit(app.Spawn{
-					Data: mgTask{side: t.side, lo: int32(oLo), rows: int32(oHi - oLo), child: true},
+					W:    mgTask{side: t.side, lo: int32(oLo), rows: int32(oHi - oLo), child: true}.pack(),
 					Size: 12,
 				})
 			}

@@ -114,7 +114,7 @@ func TestConstructorPanics(t *testing.T) {
 func TestNoChildren(t *testing.T) {
 	for _, a := range []app.App{NewGauss(16, 2), NewFFT(6, 4), NewMultigrid(16, 3, 2)} {
 		emitted := 0
-		a.Execute(a.Roots(0)[0].Data, func(app.Spawn) { emitted++ })
+		a.Execute(a.Roots(0)[0].Payload(), func(app.Spawn) { emitted++ })
 		if emitted != 0 {
 			t.Errorf("%s emitted %d children", a.Name(), emitted)
 		}
@@ -135,8 +135,8 @@ func TestCounted(t *testing.T) {
 		for r := 0; r < a.Rounds(); r++ {
 			for _, root := range a.Roots(r) {
 				var kidsE, kidsC []app.Spawn
-				w := a.Execute(root.Data, func(s app.Spawn) { kidsE = append(kidsE, s) })
-				wc, n := c.ExecuteCount(root.Data, func(s app.Spawn) { kidsC = append(kidsC, s) })
+				w := a.Execute(root.Payload(), func(s app.Spawn) { kidsE = append(kidsE, s) })
+				wc, n := c.ExecuteCount(root.Payload(), func(s app.Spawn) { kidsC = append(kidsC, s) })
 				if w != wc {
 					t.Fatalf("%s: Execute work %v != ExecuteCount work %v", a.Name(), w, wc)
 				}

@@ -7,14 +7,17 @@ package kernels
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rips/internal/app"
 )
 
 // AppendPayload implements app.PayloadCodec for Gauss.
 func (g *Gauss) AppendPayload(dst []byte, data any) ([]byte, error) {
-	t, ok := data.(gaussTask)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("kernels: payload %T is not a gauss task", data)
 	}
+	t := unpackGauss(w)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.k))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.lo))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.hi))
@@ -26,20 +29,21 @@ func (g *Gauss) DecodePayload(p []byte) (any, error) {
 	if len(p) != 12 {
 		return nil, fmt.Errorf("kernels: gauss payload is %d bytes, want 12", len(p))
 	}
-	return gaussTask{
+	w := gaussTask{
 		k:  int32(binary.BigEndian.Uint32(p[0:4])),
 		lo: int32(binary.BigEndian.Uint32(p[4:8])),
 		hi: int32(binary.BigEndian.Uint32(p[8:12])),
-	}, nil
+	}.pack()
+	return &w, nil
 }
 
 // AppendPayload implements app.PayloadCodec for FFT.
 func (f *FFT) AppendPayload(dst []byte, data any) ([]byte, error) {
-	t, ok := data.(fftTask)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("kernels: payload %T is not an fft task", data)
 	}
-	return binary.BigEndian.AppendUint32(dst, uint32(t.count)), nil
+	return binary.BigEndian.AppendUint32(dst, uint32(unpackFFT(w).count)), nil
 }
 
 // DecodePayload implements app.PayloadCodec for FFT.
@@ -47,15 +51,17 @@ func (f *FFT) DecodePayload(p []byte) (any, error) {
 	if len(p) != 4 {
 		return nil, fmt.Errorf("kernels: fft payload is %d bytes, want 4", len(p))
 	}
-	return fftTask{count: int32(binary.BigEndian.Uint32(p))}, nil
+	w := fftTask{count: int32(binary.BigEndian.Uint32(p))}.pack()
+	return &w, nil
 }
 
 // AppendPayload implements app.PayloadCodec for Multigrid.
 func (m *Multigrid) AppendPayload(dst []byte, data any) ([]byte, error) {
-	t, ok := data.(mgTask)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("kernels: payload %T is not a multigrid task", data)
 	}
+	t := unpackMG(w)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.side))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.lo))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.rows))
@@ -73,10 +79,11 @@ func (m *Multigrid) DecodePayload(p []byte) (any, error) {
 	if p[12] > 1 {
 		return nil, fmt.Errorf("kernels: multigrid child flag %d is not a bool", p[12])
 	}
-	return mgTask{
+	w := mgTask{
 		side:  int32(binary.BigEndian.Uint32(p[0:4])),
 		lo:    int32(binary.BigEndian.Uint32(p[4:8])),
 		rows:  int32(binary.BigEndian.Uint32(p[8:12])),
 		child: p[12] == 1,
-	}, nil
+	}.pack()
+	return &w, nil
 }

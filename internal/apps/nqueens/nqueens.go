@@ -35,6 +35,16 @@ type state struct {
 // stateSize is the serialized size of a task payload in bytes.
 const stateSize = 16
 
+// pack lays the placement out in the inline payload words: Row above
+// Cols in the first, LD above RD in the second.
+func (s state) pack() app.Words {
+	return app.Words{A: uint64(uint8(s.Row))<<32 | uint64(s.Cols), B: uint64(s.LD)<<32 | uint64(s.RD)}
+}
+
+func unpack(w *app.Words) state {
+	return state{Row: int8(w.A >> 32), Cols: uint32(w.A), LD: uint32(w.B >> 32), RD: uint32(w.B)}
+}
+
 // App enumerates all N-Queens solutions.
 type App struct {
 	n     int
@@ -63,7 +73,7 @@ func (a *App) Rounds() int { return 1 }
 
 // Roots returns the single root task (empty board).
 func (a *App) Roots(round int) []app.Spawn {
-	return []app.Spawn{{Data: state{}, Size: stateSize}}
+	return []app.Spawn{{W: state{}.pack(), Size: stateSize}}
 }
 
 // Execute expands a partial placement one row (emitting the children
@@ -78,7 +88,7 @@ func (a *App) Execute(data any, emit func(app.Spawn)) sim.Time {
 // below the task's state (app.Counted); expansion tasks contribute 0,
 // leaf tasks the solution count of their whole subtree.
 func (a *App) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
-	s := data.(state)
+	s := unpack(data.(*app.Words))
 	full := uint32(1<<a.n) - 1
 	if int(s.Row) < a.split && int(s.Row) < a.n {
 		children := 0
@@ -86,12 +96,12 @@ func (a *App) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
 			bit := free & (-free)
 			free ^= bit
 			emit(app.Spawn{
-				Data: state{
+				W: state{
 					Row:  s.Row + 1,
 					Cols: s.Cols | bit,
 					LD:   (s.LD | bit) << 1,
 					RD:   (s.RD | bit) >> 1,
-				},
+				}.pack(),
 				Size: stateSize,
 			})
 			children++

@@ -54,10 +54,11 @@ func countViaTasks(a *App) uint64 {
 	var total uint64
 	stack := a.Roots(0)
 	for len(stack) > 0 {
-		s := stack[len(stack)-1].Data.(state)
+		w := stack[len(stack)-1].W
+		s := unpack(&w)
 		stack = stack[:len(stack)-1]
 		if int(s.Row) < a.split && int(s.Row) < a.n {
-			a.Execute(s, func(sp app.Spawn) { stack = append(stack, sp) })
+			a.Execute(&w, func(sp app.Spawn) { stack = append(stack, sp) })
 			continue
 		}
 		sols, _ := count(full, s.Cols, s.LD, s.RD)
@@ -121,8 +122,8 @@ func TestGrainSizesIrregular(t *testing.T) {
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		st := s.Data.(state)
-		w := a.Execute(st, func(sp app.Spawn) { stack = append(stack, sp) })
+		st := unpack(&s.W)
+		w := a.Execute(&s.W, func(sp app.Spawn) { stack = append(stack, sp) })
 		if int(st.Row) >= a.split { // leaf
 			if min == 0 || w < min {
 				min = w

@@ -3,6 +3,8 @@ package nqueens
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rips/internal/app"
 )
 
 // payloadSize is the canonical wire encoding's length: the row byte
@@ -12,10 +14,11 @@ const payloadSize = 1 + 4 + 4 + 4
 // AppendPayload implements app.PayloadCodec: a partial placement
 // serializes as its row followed by Cols, LD and RD, big-endian.
 func (a *App) AppendPayload(dst []byte, data any) ([]byte, error) {
-	s, ok := data.(state)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("nqueens: payload %T is not a board state", data)
 	}
+	s := unpack(w)
 	dst = append(dst, byte(s.Row))
 	dst = binary.BigEndian.AppendUint32(dst, s.Cols)
 	dst = binary.BigEndian.AppendUint32(dst, s.LD)
@@ -28,10 +31,11 @@ func (a *App) DecodePayload(p []byte) (any, error) {
 	if len(p) != payloadSize {
 		return nil, fmt.Errorf("nqueens: payload is %d bytes, want %d", len(p), payloadSize)
 	}
-	return state{
+	w := state{
 		Row:  int8(p[0]),
 		Cols: binary.BigEndian.Uint32(p[1:5]),
 		LD:   binary.BigEndian.Uint32(p[5:9]),
 		RD:   binary.BigEndian.Uint32(p[9:13]),
-	}, nil
+	}.pack()
+	return &w, nil
 }

@@ -151,17 +151,32 @@ func Scramble(width, n int, seed int64) Board {
 	return b
 }
 
-// node is a task payload: a search-frontier state of one iteration.
-type node struct {
-	b     Board
-	g     int16 // moves so far
-	h     int16 // Manhattan heuristic
-	prev  int8  // blank's previous cell (to avoid 2-cycles), -1 at root
-	bound int16 // this iteration's f bound
-}
-
 // nodeSize is the serialized payload size in bytes.
 const nodeSize = 16
+
+// pack lays a task payload out in the inline payload words. A payload
+// is a search-frontier state of one iteration: the board b, the moves
+// so far g, the Manhattan heuristic h, the blank's previous cell prev
+// (to avoid 2-cycles; -1 at the root) and this iteration's f bound. The
+// cells fill the first word; blank, width and prev take a byte each of
+// the second with g and h in its upper half; the bound is the third.
+// pack and unpack deal in the fields, not in a struct of them: five
+// fields are more than the compiler keeps in registers, and a struct
+// built only to be packed, or unpacked only to be read, goes through the
+// stack in narrow stores and wide loads.
+func pack(b Board, g, h int16, prev int8, bound int16) app.Words {
+	return app.Words{
+		A: b.cells,
+		B: uint64(uint8(b.blank)) | uint64(uint8(b.width))<<8 | uint64(uint8(prev))<<16 |
+			uint64(uint16(g))<<32 | uint64(uint16(h))<<48,
+		C: uint64(uint16(bound)),
+	}
+}
+
+func unpack(w *app.Words) (b Board, g, h int16, prev int8, bound int16) {
+	return Board{cells: w.A, blank: int8(w.B), width: int8(w.B >> 8)},
+		int16(w.B >> 32), int16(w.B >> 48), int8(w.B >> 16), int16(w.C)
+}
 
 // App runs IDA* from one start configuration.
 type App struct {
@@ -247,7 +262,7 @@ func (a *App) Bounds() []int16 { return append([]int16(nil), a.bounds...) }
 // Roots seeds round r with the start state at that round's bound.
 func (a *App) Roots(round int) []app.Spawn {
 	return []app.Spawn{{
-		Data: node{b: a.start, h: int16(a.start.manhattan()), prev: -1, bound: a.bounds[round]},
+		W:    pack(a.start, 0, int16(a.start.manhattan()), -1, a.bounds[round]),
 		Size: nodeSize,
 	}}
 }
@@ -266,26 +281,25 @@ func (a *App) Execute(data any, emit func(app.Spawn)) sim.Time {
 // is the number of distinct optimal solution paths — a quantity every
 // scheduling backend must reproduce exactly.
 func (a *App) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64) {
-	nd := data.(node)
-	if nd.g+nd.h > nd.bound {
+	b, g, h, prev, bound := unpack(data.(*app.Words))
+	if g+h > bound {
 		return CostPerNode, 0 // pruned on arrival
 	}
-	if int(nd.bound)-int(nd.g) > a.budget && nd.h != 0 {
+	if int(bound)-int(g) > a.budget && h != 0 {
 		children := 0
-		for _, m := range nd.b.moves() {
-			if m == nd.prev {
+		for _, m := range b.moves() {
+			if m == prev {
 				continue
 			}
-			nb, dh := nd.b.apply(m)
-			child := node{b: nb, g: nd.g + 1, h: nd.h + int16(dh), prev: nd.b.blank, bound: nd.bound}
-			if child.g+child.h <= nd.bound {
-				emit(app.Spawn{Data: child, Size: nodeSize})
+			nb, dh := b.apply(m)
+			if cg, ch := g+1, h+int16(dh); cg+ch <= bound {
+				emit(app.Spawn{W: pack(nb, cg, ch, b.blank, bound), Size: nodeSize})
 				children++
 			}
 		}
 		return CostPerNode + sim.Time(children)*spawnCost, 0
 	}
-	nodes, goals := search(nd.b, nd.g, nd.h, nd.bound, nd.prev)
+	nodes, goals := search(b, g, h, bound, prev)
 	return sim.Time(nodes) * CostPerNode, int64(goals)
 }
 

@@ -140,18 +140,17 @@ func TestRootsCarryRoundBounds(t *testing.T) {
 		if len(roots) != 1 {
 			t.Fatalf("round %d: %d roots", r, len(roots))
 		}
-		nd := roots[0].Data.(node)
-		if nd.bound != a.bounds[r] {
-			t.Errorf("round %d: bound %d, want %d", r, nd.bound, a.bounds[r])
+		if _, _, _, _, bound := unpack(&roots[0].W); bound != a.bounds[r] {
+			t.Errorf("round %d: bound %d, want %d", r, bound, a.bounds[r])
 		}
 	}
 }
 
 func TestExecutePrunesOverBound(t *testing.T) {
 	a := New("t", Scramble(4, 24, 8), 6)
-	nd := node{b: a.start, g: 100, h: int16(a.start.manhattan()), bound: a.bounds[0]}
+	nd := pack(a.start, 100, int16(a.start.manhattan()), 0, a.bounds[0])
 	emitted := 0
-	w := a.Execute(nd, func(app.Spawn) { emitted++ })
+	w := a.Execute(&nd, func(app.Spawn) { emitted++ })
 	if emitted != 0 {
 		t.Errorf("pruned node emitted %d children", emitted)
 	}

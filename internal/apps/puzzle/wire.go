@@ -3,6 +3,8 @@ package puzzle
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rips/internal/app"
 )
 
 // payloadSize is the canonical wire encoding's length: the packed
@@ -13,16 +15,17 @@ const payloadSize = 8 + 1 + 1 + 2 + 2 + 1 + 2
 // serializes as its packed board followed by the search bookkeeping,
 // big-endian.
 func (a *App) AppendPayload(dst []byte, data any) ([]byte, error) {
-	nd, ok := data.(node)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("puzzle: payload %T is not a search node", data)
 	}
-	dst = binary.BigEndian.AppendUint64(dst, nd.b.cells)
-	dst = append(dst, byte(nd.b.blank), byte(nd.b.width))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(nd.g))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(nd.h))
-	dst = append(dst, byte(nd.prev))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(nd.bound))
+	b, g, h, prev, bound := unpack(w)
+	dst = binary.BigEndian.AppendUint64(dst, b.cells)
+	dst = append(dst, byte(b.blank), byte(b.width))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(g))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(h))
+	dst = append(dst, byte(prev))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(bound))
 	return dst, nil
 }
 
@@ -31,19 +34,14 @@ func (a *App) DecodePayload(p []byte) (any, error) {
 	if len(p) != payloadSize {
 		return nil, fmt.Errorf("puzzle: payload is %d bytes, want %d", len(p), payloadSize)
 	}
-	nd := node{
-		b: Board{
-			cells: binary.BigEndian.Uint64(p[0:8]),
-			blank: int8(p[8]),
-			width: int8(p[9]),
-		},
-		g:     int16(binary.BigEndian.Uint16(p[10:12])),
-		h:     int16(binary.BigEndian.Uint16(p[12:14])),
-		prev:  int8(p[14]),
-		bound: int16(binary.BigEndian.Uint16(p[15:17])),
+	b := Board{cells: binary.BigEndian.Uint64(p[0:8]), blank: int8(p[8]), width: int8(p[9])}
+	if b.width < 2 || b.width > 4 {
+		return nil, fmt.Errorf("puzzle: decoded board width %d out of range", b.width)
 	}
-	if nd.b.width < 2 || nd.b.width > 4 {
-		return nil, fmt.Errorf("puzzle: decoded board width %d out of range", nd.b.width)
-	}
-	return nd, nil
+	w := pack(b,
+		int16(binary.BigEndian.Uint16(p[10:12])), // g
+		int16(binary.BigEndian.Uint16(p[12:14])), // h
+		int8(p[14]),                              // prev
+		int16(binary.BigEndian.Uint16(p[15:17]))) // bound
+	return &w, nil
 }

@@ -65,7 +65,7 @@ const yieldSlice = 100 * time.Microsecond
 // spawn queues one task born on this member: a staged root, or a
 // child emitted by a task it executes.
 func (m *memberRun) spawn(sp app.Spawn) {
-	m.q.PushBack(task.Task{ID: m.newID(), Origin: m.idx, Size: sp.Size, Data: sp.Data})
+	m.q.PushBack(task.Task{ID: m.newID(), Origin: m.idx, Size: sp.Size, Data: sp.Payload()})
 	m.generated++
 }
 

@@ -260,7 +260,7 @@ func executeRacing(a app.App, nw int) (tasks int64, work sim.Time, result int64)
 						continue
 					}
 					var children []app.Spawn
-					vw, res := app.ExecuteCount(a, sp.Data, func(c app.Spawn) {
+					vw, res := app.ExecuteCount(a, sp.Payload(), func(c app.Spawn) {
 						children = append(children, c)
 					})
 					nTasks.Add(1)

@@ -188,7 +188,7 @@ func (c *Ctx) newID() uint64 {
 // NewTask wraps an application spawn into a task originating here.
 func (c *Ctx) NewTask(sp app.Spawn) task.Task {
 	c.N.Count(CounterGenerated, 1)
-	return task.Task{ID: c.newID(), Origin: c.N.ID(), Size: sp.Size, Data: sp.Data}
+	return task.Task{ID: c.newID(), Origin: c.N.ID(), Size: sp.Size, Data: sp.Payload()}
 }
 
 // Enqueue files a task for local execution.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rips/internal/sched"
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -56,8 +55,8 @@ func TestPartitionWaves(t *testing.T) {
 func pushFresh(w *engineWorker, n int) map[uint64]bool {
 	ids := map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		tk := &task.Task{ID: w.newID(), Origin: w.id}
-		ids[tk.ID] = true
+		tk := &node{id: w.newID(), origin: w.id}
+		ids[tk.id] = true
 		w.d.push(tk)
 	}
 	return ids
@@ -71,10 +70,10 @@ func drainKnown(t *testing.T, w *engineWorker, want int, ids map[uint64]bool) {
 		t.Errorf("worker %d holds %d tasks, want %d", w.id, got, want)
 	}
 	for tk := w.d.pop(); tk != nil; tk = w.d.pop() {
-		if !ids[tk.ID] {
-			t.Errorf("worker %d holds duplicated or unknown task %d", w.id, tk.ID)
+		if !ids[tk.id] {
+			t.Errorf("worker %d holds duplicated or unknown task %d", w.id, tk.id)
 		}
-		delete(ids, tk.ID)
+		delete(ids, tk.id)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"rips/internal/ripsrt"
 	"rips/internal/sched"
 	"rips/internal/sim"
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -55,35 +54,42 @@ func (a *benchApp) Execute(data any, emit func(app.Spawn)) sim.Time {
 	return 1
 }
 
+// runTree stages root on w the way a round's roots are staged and
+// executes the whole tree below it, oldest task first, pushing whatever
+// the local policy left listed: afterwards every node the tree used is
+// back on w's free list.
+func (r *engineRun) runTree(w *engineWorker, root *benchNode) {
+	w.emit(app.Spawn{Data: root})
+	for {
+		w.release()
+		tk, _ := w.d.steal()
+		if tk == nil {
+			return
+		}
+		r.execute(w, tk)
+	}
+}
+
 // TestSteadyStateZeroAlloc is the allocation contract of the engine's
-// hot path under RIPS: once the reusable buffers are warm, running a
-// balanced system phase and applying a staged plan through the exchange
-// buffers must not allocate at all, and executing tasks allocates the
-// slab chunks their children's nodes are carved from and nothing else.
+// hot path under RIPS: once the reusable buffers are warm, executing
+// tasks, running a balanced system phase and applying a staged plan
+// through the exchange buffers must not allocate at all — a task's node
+// comes off the free list its predecessors retired to.
 // The planner itself is excluded from the contract (it builds fresh
 // trace vectors per call; see DESIGN.md §9) — which is why the balanced
 // fast path matters: it is the steady state, and it skips the planner
 // entirely.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("execute", func(t *testing.T) {
-		const fanout, perRun = 8, slabSize // perRun executions carve exactly fanout chunks
 		for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
-			cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, fanout), Local: local}
+			a := newBenchApp(3, 8) // 585 tasks, 512 of them listed at once: more than two slabs
+			cfg := Config{Topo: topo.NewMesh(1, 1), App: a, Local: local}
 			r := newEngineRun(&cfg)
 			w := r.workers[0]
-			root := &task.Task{Data: cfg.App.(*benchApp).root}
-			body := func() {
-				for i := 0; i < perRun; i++ {
-					r.execute(w, root)
-					for tk, _ := w.d.steal(); tk != nil; tk, _ = w.d.steal() {
-					}
-					w.kids = w.kids[:0] // Eager leaves the children listed for the next phase
-				}
-			}
-			body() // warm the pending list
-			if avg := testing.AllocsPerRun(20, body); avg > fanout {
-				t.Errorf("%s: %d executions of a %d-fanout task allocate %.0f times, want the %d slab chunks only",
-					local, perRun, fanout, avg, fanout)
+			body := func() { r.runTree(w, a.root) }
+			body() // the lap that buys the slabs, the ring and the pending list
+			if avg := testing.AllocsPerRun(20, body); avg != 0 {
+				t.Errorf("%s: a lap of 585 tasks over a warm free list allocates %.1f times", local, avg)
 			}
 		}
 	})
@@ -133,19 +139,17 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkExecute measures the per-task user-phase cost under RIPS:
-// run one 8-fanout task and take its children back off the deque,
-// oldest first.
+// an 8-fanout task and its eight leaves — nine nodes off the free list,
+// through the deque oldest first, and back.
 func BenchmarkExecute(b *testing.B) {
-	cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, 8)}
+	a := newBenchApp(1, 8)
+	cfg := Config{Topo: topo.NewMesh(1, 1), App: a}
 	r := newEngineRun(&cfg)
 	w := r.workers[0]
-	root := &task.Task{Data: cfg.App.(*benchApp).root}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.execute(w, root)
-		for tk, _ := w.d.steal(); tk != nil; tk, _ = w.d.steal() {
-		}
+		r.runTree(w, a.root)
 	}
 }
 
@@ -156,7 +160,7 @@ func BenchmarkExchange(b *testing.B) {
 	const k = 1024
 	d0, d1 := newDeque(), newDeque()
 	d0.push(syntheticTasks(k)...)
-	buf := make([]*task.Task, k)
+	buf := make([]*node, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,6 @@
 package par
 
-import (
-	"sync/atomic"
-
-	"rips/internal/task"
-)
+import "sync/atomic"
 
 // deque is a Chase-Lev-style lock-free work-stealing deque (Chase &
 // Lev, "Dynamic Circular Work-Stealing Deque", SPAA'05). The owning
@@ -14,6 +10,8 @@ import (
 // top index only. The slots themselves are atomic pointers so the
 // implementation is clean under the race detector: a thief may read a
 // slot it then fails to claim, and the top CAS alone decides ownership.
+// A pointer read from a slot is dereferenced only by whoever won that
+// claim, which is what lets the engine reuse nodes (see node).
 //
 // The zero value is not usable; construct with newDeque.
 type deque struct {
@@ -25,13 +23,13 @@ type deque struct {
 // dequeRing is one power-of-two circular buffer generation.
 type dequeRing struct {
 	mask  int64
-	slots []atomic.Pointer[task.Task]
+	slots []atomic.Pointer[node]
 }
 
 const minDequeCap = 64
 
 func newRing(capacity int64) *dequeRing {
-	return &dequeRing{mask: capacity - 1, slots: make([]atomic.Pointer[task.Task], capacity)}
+	return &dequeRing{mask: capacity - 1, slots: make([]atomic.Pointer[node], capacity)}
 }
 
 func newDeque() *deque {
@@ -52,7 +50,7 @@ func (d *deque) size() int64 {
 
 // push appends ts at the bottom in order and publishes them to thieves
 // with one store of bottom, however many there are. Owner only.
-func (d *deque) push(ts ...*task.Task) {
+func (d *deque) push(ts ...*node) {
 	if len(ts) == 0 {
 		return
 	}
@@ -82,7 +80,7 @@ func (d *deque) grow(old *dequeRing, tp, b int64) *dequeRing {
 
 // pop removes and returns the bottom task, or nil when the deque is
 // empty. Owner only.
-func (d *deque) pop() *task.Task {
+func (d *deque) pop() *node {
 	b := d.bottom.Load() - 1
 	r := d.buf.Load()
 	d.bottom.Store(b)
@@ -109,7 +107,7 @@ func (d *deque) pop() *task.Task {
 // dst, returning the count taken. Quiescent use only: the system phases
 // call it with the world stopped at the epoch barrier, so no owner or
 // thief is concurrently operating and the plain top-store needs no CAS.
-func (d *deque) takeTopInto(dst []*task.Task) int {
+func (d *deque) takeTopInto(dst []*node) int {
 	tp := d.top.Load()
 	n := d.copyOut(dst, tp, d.bottom.Load())
 	d.top.Store(tp + n)
@@ -120,7 +118,7 @@ func (d *deque) takeTopInto(dst []*task.Task) int {
 // owner's end, the newest — into dst in deque order (dst's last element
 // was the bottom), returning the count taken. Quiescent use only, like
 // takeTopInto.
-func (d *deque) takeBottomInto(dst []*task.Task) int {
+func (d *deque) takeBottomInto(dst []*node) int {
 	b := d.bottom.Load()
 	n := d.copyOut(dst, max(d.top.Load(), b-int64(len(dst))), b)
 	d.bottom.Store(b - n)
@@ -129,7 +127,7 @@ func (d *deque) takeBottomInto(dst []*task.Task) int {
 
 // copyOut copies the tasks at indices [lo, hi), as many of them as dst
 // holds, into dst and returns how many.
-func (d *deque) copyOut(dst []*task.Task, lo, hi int64) int64 {
+func (d *deque) copyOut(dst []*node, lo, hi int64) int64 {
 	n := max(0, min(hi-lo, int64(len(dst))))
 	r := d.buf.Load()
 	for i := int64(0); i < n; i++ {
@@ -141,7 +139,7 @@ func (d *deque) copyOut(dst []*task.Task, lo, hi int64) int64 {
 // steal removes and returns the top task. A nil task with retry=true
 // means a concurrent operation claimed the slot first and the thief
 // may try again; retry=false means the deque looked empty.
-func (d *deque) steal() (t *task.Task, retry bool) {
+func (d *deque) steal() (t *node, retry bool) {
 	tp := d.top.Load()
 	b := d.bottom.Load()
 	if tp >= b {

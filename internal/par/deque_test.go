@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"rips/internal/task"
 )
 
 func TestDequeOwnerLIFO(t *testing.T) {
@@ -15,14 +13,14 @@ func TestDequeOwnerLIFO(t *testing.T) {
 	}
 	const n = 200 // crosses the initial ring capacity, exercising grow
 	for i := uint64(0); i < n; i++ {
-		d.push(&task.Task{ID: i})
+		d.push(&node{id: i})
 	}
 	if got := d.size(); got != n {
 		t.Fatalf("size = %d, want %d", got, n)
 	}
 	for i := uint64(n); i > 0; i-- {
 		got := d.pop()
-		if got == nil || got.ID != i-1 {
+		if got == nil || got.id != i-1 {
 			t.Fatalf("pop = %v, want ID %d", got, i-1)
 		}
 	}
@@ -37,11 +35,11 @@ func TestDequeStealFIFO(t *testing.T) {
 		t.Fatal("steal of empty deque reported retry")
 	}
 	for i := uint64(0); i < 10; i++ {
-		d.push(&task.Task{ID: i})
+		d.push(&node{id: i})
 	}
 	for i := uint64(0); i < 10; i++ {
 		tk, _ := d.steal()
-		if tk == nil || tk.ID != i {
+		if tk == nil || tk.id != i {
 			t.Fatalf("steal = %v, want ID %d", tk, i)
 		}
 	}
@@ -59,12 +57,12 @@ func TestDequeOwnerFIFO(t *testing.T) {
 	var pushed, popped uint64
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 9; i++ { // nine in, four out: the window grows past minDequeCap and wraps
-			d.push(&task.Task{ID: pushed})
+			d.push(&node{id: pushed})
 			pushed++
 		}
 		for i := 0; i < 4; i++ {
 			tk, retry := d.steal()
-			if retry || tk == nil || tk.ID != popped {
+			if retry || tk == nil || tk.id != popped {
 				t.Fatalf("owner-side steal = (%v, %v), want ID %d and no retry", tk, retry, popped)
 			}
 			popped++
@@ -86,9 +84,9 @@ func TestDequeBulkPush(t *testing.T) {
 	}
 	var next uint64
 	for _, n := range []int{3, 5 * minDequeCap, 1, 40} {
-		batch := make([]*task.Task, n)
+		batch := make([]*node, n)
 		for i := range batch {
-			batch[i] = &task.Task{ID: next}
+			batch[i] = &node{id: next}
 			next++
 		}
 		d.push(batch...)
@@ -96,11 +94,11 @@ func TestDequeBulkPush(t *testing.T) {
 	if got := d.size(); got != int64(next) {
 		t.Fatalf("size = %d after bulk pushes, want %d", got, next)
 	}
-	if tk := d.pop(); tk == nil || tk.ID != next-1 {
+	if tk := d.pop(); tk == nil || tk.id != next-1 {
 		t.Fatalf("pop = %v, want the last task pushed (ID %d)", tk, next-1)
 	}
 	for want := uint64(0); want < next-1; want++ {
-		if tk, _ := d.steal(); tk == nil || tk.ID != want {
+		if tk, _ := d.steal(); tk == nil || tk.id != want {
 			t.Fatalf("steal = %v, want ID %d", tk, want)
 		}
 	}
@@ -111,25 +109,25 @@ func TestDequeBulkPush(t *testing.T) {
 // stay for the owner, and over-asking takes exactly what is there.
 func TestTakeBottomInto(t *testing.T) {
 	d := newDeque()
-	tasks := make([]task.Task, 6)
+	tasks := make([]node, 6)
 	for i := range tasks {
-		tasks[i] = task.Task{ID: uint64(i)}
+		tasks[i] = node{id: uint64(i)}
 		d.push(&tasks[i])
 	}
-	dst := make([]*task.Task, 4)
+	dst := make([]*node, 4)
 	if got := d.takeBottomInto(dst); got != 4 {
 		t.Fatalf("takeBottomInto(4 of 6) = %d", got)
 	}
 	for i := 0; i < 4; i++ {
-		if dst[i].ID != uint64(i+2) {
-			t.Errorf("taken[%d].ID = %d, want %d (the newest four, in deque order)", i, dst[i].ID, i+2)
+		if dst[i].id != uint64(i+2) {
+			t.Errorf("taken[%d].ID = %d, want %d (the newest four, in deque order)", i, dst[i].id, i+2)
 		}
 	}
-	if tk, _ := d.steal(); tk == nil || tk.ID != 0 {
+	if tk, _ := d.steal(); tk == nil || tk.id != 0 {
 		t.Errorf("owner-side steal after bulk take = %v, want ID 0 (the oldest stays)", tk)
 	}
-	big := make([]*task.Task, 8)
-	if got := d.takeBottomInto(big); got != 1 || big[0].ID != 1 {
+	big := make([]*node, 8)
+	if got := d.takeBottomInto(big); got != 1 || big[0].id != 1 {
 		t.Errorf("takeBottomInto(8 of 1) = %d, big[0]=%v; want 1 task with ID 1", got, big[0])
 	}
 	if got := d.takeBottomInto(big); got != 0 {
@@ -147,9 +145,9 @@ func TestDequeConcurrent(t *testing.T) {
 	)
 	d := newDeque()
 	consumed := make([]atomic.Int32, total)
-	record := func(tk *task.Task) {
-		if n := consumed[tk.ID].Add(1); n != 1 {
-			t.Errorf("task %d consumed %d times", tk.ID, n)
+	record := func(tk *node) {
+		if n := consumed[tk.id].Add(1); n != 1 {
+			t.Errorf("task %d consumed %d times", tk.id, n)
 		}
 	}
 	var left atomic.Int64
@@ -160,7 +158,7 @@ func TestDequeConcurrent(t *testing.T) {
 	go func() { // owner: push all, popping every third task along the way
 		defer wg.Done()
 		for i := uint64(0); i < total; i++ {
-			d.push(&task.Task{ID: i})
+			d.push(&node{id: i})
 			if i%3 == 0 {
 				if tk := d.pop(); tk != nil {
 					record(tk)

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"rips/internal/task"
 )
 
 // detector is the ANY-policy transfer detector shared by every
@@ -91,7 +89,7 @@ func (d *detector) requested(phase int64) bool { return d.req.Load() >= phase }
 // poll, when non-nil, is tried on every turn: a task it returns takes
 // the worker out of the drained state and is handed to the caller to
 // execute (the steal sweep of Hybrid and Steal; nil under RIPS).
-func (d *detector) await(id int, phase int64, poll func() *task.Task) *task.Task {
+func (d *detector) await(id int, phase int64, poll func() *node) *node {
 	if int(d.drained.Add(1)) < d.n {
 		interval, start := d.current(), time.Now()
 		for !d.requested(phase) && !d.cancel.Load() && time.Since(start) < interval {

@@ -8,7 +8,6 @@ import (
 
 	"rips/internal/apps/nqueens"
 	"rips/internal/apps/puzzle"
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -136,14 +135,14 @@ func TestDetectorStealLeavesDrained(t *testing.T) {
 	cfg := Config{Topo: topo.NewMesh(1, 2), App: queens8(), Strategy: Hybrid, Domains: 1, DetectInterval: time.Hour}
 	r := newEngineRun(&cfg)
 	thief, victim := r.workers[0], r.workers[1]
-	var got *task.Task
+	var got *node
 	returned := make(chan struct{})
 	go func() {
 		defer close(returned)
 		got = r.det.await(thief.id, 0, thief.sweep)
 	}()
 	spinUntil(t, func() bool { return r.det.drained.Load() == 1 }, "thief counted as drained")
-	want := &task.Task{ID: 42, Origin: victim.id}
+	want := &node{id: 42, origin: victim.id}
 	victim.d.push(want) // this goroutine stands in for the deque's owner
 	within(t, returned, "waiter after work became stealable")
 	if got != want {

@@ -13,7 +13,6 @@ import (
 	"rips/internal/metrics"
 	"rips/internal/ripsrt"
 	"rips/internal/sched"
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -48,15 +47,41 @@ import (
 // can therefore never be left behind. A Steal run reports none of this
 // as phases: to its caller a crossing is a round barrier.
 
-// slabSize is the number of task nodes a worker carves from one
-// allocation. Deques hold pointers, so every task needs a node that
-// outlives the execution that spawned it; taking them from a per-worker
-// bump slab makes that one allocation per slabSize tasks.
+// node is one task of the engine: what the deques, the exchange
+// buffers and a thief's hand point at. The payload is data, or the
+// inline words w when data is nil (app.Spawn's contract). A node is one
+// cache line and is reused for as long as the run lasts:
+//
+//	hand -> free list -> kids -> deque -> hand
+//
+// execute takes a node in hand, copies its payload out and threads it
+// onto the executing worker's free list before the task body runs; emit
+// pops the free list for each child; release pushes the children. A
+// node is written only by the worker that holds it — popped it, won the
+// top CAS for it, or took it from its own free list — and a deque slot
+// or a thief that lost the CAS may keep a stale pointer to it for ever
+// without harm, because nothing dereferences a pointer it did not win:
+// deque.steal reads the slot and the claim for index i succeeds only
+// while top is still i, top never decreases, and index i holds the same
+// node from its push until top passes it. The bulk takes of a system
+// phase run with the world stopped.
+type node struct {
+	id     uint64
+	origin int // worker that emitted it
+	w      app.Words
+	data   any
+	next   *node // free-list link; meaningless anywhere else
+}
+
+// slabSize is the number of nodes a worker carves from one allocation
+// when its free list is empty. Nodes are never returned: a run buys
+// slabs until every worker's free list covers its own demand and then
+// stops allocating, however many tasks follow.
 const slabSize = 256
 
 // engineWorker is one worker's private state: a Chase-Lev deque the
-// workers of its domain may steal from, the slab its task nodes come
-// from, and the list of nodes not yet pushed.
+// workers of its domain may steal from, the free list and slab its task
+// nodes come from, and the list of nodes not yet pushed.
 type engineWorker struct {
 	counters
 	id  int
@@ -77,25 +102,32 @@ type engineWorker struct {
 	// balances them. Derived from the run, never configured.
 	fifo bool
 	d    *deque
-	// slab is the chunk nodes are being carved from, len(slab) of them
-	// so far. Only its owner appends (the phase leader too, for roots,
-	// with the world stopped). A full chunk is dropped, not recycled: its
-	// nodes sit in deques and thieves' hands for as long as they take, so
-	// a chunk lives until the last of its nodes is unreachable — which
-	// may be rounds after the one that filled it.
-	slab []task.Task
+	// free lists the nodes of the tasks this worker has executed, most
+	// recent first, so a task's first child is written into the line its
+	// parent was just read from. A node retires where it was executed, not
+	// where it was carved: a worker that executes more than it emits
+	// accumulates nodes another worker has to carve afresh.
+	free *node
+	// slab is the chunk nodes are carved from while free is empty,
+	// len(slab) of them so far. Only its owner appends (the phase leader
+	// too, for roots, with the world stopped). A full chunk is let go of
+	// here and lives on through its nodes.
+	slab []node
+	// scratch holds the inline payload of the task in hand: what Execute
+	// sees as its *app.Words, so the node itself is free for reuse.
+	scratch app.Words
 	// kids are the nodes emitted but not yet in the deque, in emission
 	// order: the children of the task in hand, and under the Eager local
 	// policy everything staged since the last system phase. The array is
 	// reused.
-	kids []*task.Task
+	kids []*node
 	emit func(app.Spawn)
 	// sweep is stealLocal bound to this worker once, so handing it to the
 	// detector as its poll on every drain allocates nothing; rng rotates
 	// the victims and never affects the answer. Both are nil on a worker
 	// without mates, which has nobody to steal from: seeding a source is
 	// a 5 KB allocation a sub-millisecond job would notice.
-	sweep  func() *task.Task
+	sweep  func() *node
 	rng    *rand.Rand
 	steals int64
 	// xsteals counts steals whose victim is of another class: none under
@@ -138,7 +170,7 @@ type engineDomain struct {
 	// half (or the global leader when it applies alone). Readers: each
 	// move's destination leader during the push half, ordered by the
 	// exchange sub-barrier.
-	xbuf     []*task.Task
+	xbuf     []*node
 	xneed    int
 	migrated int64
 }
@@ -287,22 +319,28 @@ func newEngineRun(cfg *Config) *engineRun {
 			}
 			// emit runs inside every task execution, called back by the
 			// application: the traversal cannot follow that call, so it is
-			// rooted explicitly. It writes the child into the slab and lists
-			// the node; pushing is execute's business, outside the busy time.
+			// rooted explicitly. It writes the child into a node off the free
+			// list, or a new one when that is empty, and lists the node;
+			// pushing is execute's business, outside the busy time.
 			//ripslint:hotpath
 			w.emit = func(sp app.Spawn) {
-				if len(w.slab) == cap(w.slab) {
-					w.slab = make([]task.Task, 0, slabSize) //ripslint:allow hotpath slab refill: the one allocation per slabSize task nodes (TestDequeExecutorAllocs pins it)
+				nd := w.free
+				if nd != nil {
+					w.free = nd.next
+				} else {
+					if len(w.slab) == cap(w.slab) {
+						w.slab = make([]node, 0, slabSize) //ripslint:allow hotpath slab refill: only while the free list is empty, so a run stops buying slabs at its high-water mark (TestDequeExecutorAllocs pins it)
+					}
+					w.slab = w.slab[:len(w.slab)+1]
+					nd = &w.slab[len(w.slab)-1]
 				}
-				k := len(w.slab)
-				w.slab = w.slab[:k+1]
-				w.slab[k] = task.Task{ID: w.newID(), Origin: w.id, Size: sp.Size, Data: sp.Data}
+				nd.id, nd.origin, nd.w, nd.data = w.newID(), w.id, sp.W, sp.Data
 				w.generated++
-				w.kids = append(w.kids, &w.slab[k]) //ripslint:allow hotpath kids keeps its capacity across tasks and, under Eager, across phases; growth stops at the widest fan-out (TestDequeExecutorAllocs pins it)
+				w.kids = append(w.kids, nd) //ripslint:allow hotpath kids keeps its capacity across tasks and, under Eager, across phases; growth stops at the widest fan-out (TestDequeExecutorAllocs pins it)
 			}
 			if mates {
 				w.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b9))
-				w.sweep = func() *task.Task { return r.stealLocal(w) }
+				w.sweep = func() *node { return r.stealLocal(w) }
 			}
 			r.workers = append(r.workers, w)
 		}
@@ -310,12 +348,12 @@ func newEngineRun(cfg *Config) *engineRun {
 	return r
 }
 
-// runEngine runs the engine for any strategy.
-func runEngine(cfg *Config, d driver) (Result, error) {
-	r := newEngineRun(cfg)
+// run stages the first round's roots and runs the workers on d to the
+// end of the run, for any strategy.
+func (r *engineRun) run(d driver) (Result, error) {
 	r.loadRoots(0)
-	if cfg.Cancel != nil {
-		stop := watchCancel(cfg.Cancel, &r.cancel)
+	if r.cfg.Cancel != nil {
+		stop := watchCancel(r.cfg.Cancel, &r.cancel)
 		defer stop()
 	}
 
@@ -487,7 +525,7 @@ func (r *engineRun) userPhase(w *engineWorker, phase int64, point *int64) {
 		if executed && !r.all && r.det.requested(phase) {
 			return // someone requested the transfer; one task finished since
 		}
-		var t *task.Task
+		var t *node
 		if w.fifo {
 			t, _ = w.d.steal() // the owner is the deque's only taker, so the claim cannot fail
 		} else {
@@ -525,7 +563,7 @@ func (r *engineRun) userPhase(w *engineWorker, phase int64, point *int64) {
 // random rotation, returning the first stolen task: O(n/D) deque
 // probes, all on the domain's own node, under Hybrid; the whole machine
 // under Steal, whose one domain it is; nothing under RIPS.
-func (r *engineRun) stealLocal(w *engineWorker) *task.Task {
+func (r *engineRun) stealLocal(w *engineWorker) *node {
 	dom := r.doms[w.dom]
 	n := dom.size()
 	if n < 2 {
@@ -554,19 +592,29 @@ func (r *engineRun) stealLocal(w *engineWorker) *task.Task {
 }
 
 // execute runs one task for real and files its children per the local
-// policy. The bound emit closure carves each child's node from the
-// worker's slab and lists it in kids; Lazy (and Steal) then pushes the
-// listed nodes onto the deque, Eager leaves them listed until the next
-// system phase. The busy time is the task alone: two monotonic clock
-// readings against the run's start (time.Now would read the wall clock
-// too), with the pushes outside them.
-func (r *engineRun) execute(w *engineWorker, t *task.Task) {
-	if t.Origin != w.id {
+// policy. The node in hand is retired first (see node): the inline words
+// move into the worker's scratch, which Execute sees as a *app.Words
+// without an allocation, and data is cleared so a node at rest pins
+// nothing of the application's. The bound emit closure lists each child
+// in kids; Lazy (and Steal) then pushes the listed nodes onto the deque,
+// Eager leaves them listed until the next system phase. The busy time is
+// the task alone: two monotonic clock readings against the run's start
+// (time.Now would read the wall clock too), with the pushes outside
+// them.
+func (r *engineRun) execute(w *engineWorker, t *node) {
+	if t.origin != w.id {
 		w.nonlocal++
 	}
 	w.executed++
+	data := t.data
+	if data == nil {
+		w.scratch = t.w
+		data = &w.scratch
+	}
+	t.data = nil
+	t.next, w.free = w.free, t
 	began := time.Since(r.start)
-	vw, res := app.ExecuteCount(r.cfg.App, t.Data, w.emit)
+	vw, res := app.ExecuteCount(r.cfg.App, data, w.emit)
 	w.busy += time.Since(r.start) - began
 	w.vwork += vw
 	w.appResult += res
@@ -769,7 +817,7 @@ func (r *engineRun) stageMoves(moves []sched.Move) {
 // grown buffer is first-touched on the domain's own node.
 func (r *engineRun) ensureXbuf(dom *engineDomain) {
 	if cap(dom.xbuf) < dom.xneed {
-		dom.xbuf = make([]*task.Task, dom.xneed) //ripslint:allow hotpath exchange buffers grow to the high-water mark once, then are reused every phase
+		dom.xbuf = make([]*node, dom.xneed) //ripslint:allow hotpath exchange buffers grow to the high-water mark once, then are reused every phase
 	} else {
 		dom.xbuf = dom.xbuf[:dom.xneed]
 	}

@@ -9,7 +9,6 @@ import (
 
 	"rips/internal/affinity"
 	"rips/internal/ripsrt"
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -362,25 +361,25 @@ func TestHybridPoolMatchesRun(t *testing.T) {
 // over-asking takes exactly what is there.
 func TestTakeTopInto(t *testing.T) {
 	d := newDeque()
-	tasks := make([]task.Task, 6)
+	tasks := make([]node, 6)
 	for i := range tasks {
-		tasks[i] = task.Task{ID: uint64(i)}
+		tasks[i] = node{id: uint64(i)}
 		d.push(&tasks[i])
 	}
-	dst := make([]*task.Task, 4)
+	dst := make([]*node, 4)
 	if got := d.takeTopInto(dst); got != 4 {
 		t.Fatalf("takeTopInto(4 of 6) = %d", got)
 	}
 	for i := 0; i < 4; i++ {
-		if dst[i].ID != uint64(i) {
-			t.Errorf("taken[%d].ID = %d, want %d (FIFO from the steal end)", i, dst[i].ID, i)
+		if dst[i].id != uint64(i) {
+			t.Errorf("taken[%d].ID = %d, want %d (FIFO from the steal end)", i, dst[i].id, i)
 		}
 	}
-	if tk := d.pop(); tk == nil || tk.ID != 5 {
+	if tk := d.pop(); tk == nil || tk.id != 5 {
 		t.Errorf("pop after bulk take = %v, want ID 5 (LIFO bottom)", tk)
 	}
-	big := make([]*task.Task, 8)
-	if got := d.takeTopInto(big); got != 1 || big[0].ID != 4 {
+	big := make([]*node, 8)
+	if got := d.takeTopInto(big); got != 1 || big[0].id != 4 {
 		t.Errorf("takeTopInto(8 of 1) = %d, big[0]=%v; want 1 task with ID 4", got, big[0])
 	}
 	if got := d.takeTopInto(big); got != 0 {

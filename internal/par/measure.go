@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -41,9 +40,9 @@ func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.
 // syntheticTasks returns n distinct empty tasks. A system phase moves
 // pointers and never looks behind them, so one set serves every worker
 // and every phase of a measurement.
-func syntheticTasks(n int) []*task.Task {
-	nodes := make([]task.Task, n)
-	ptrs := make([]*task.Task, n)
+func syntheticTasks(n int) []*node {
+	nodes := make([]node, n)
+	ptrs := make([]*node, n)
 	for i := range nodes {
 		ptrs[i] = &nodes[i]
 	}
@@ -52,7 +51,7 @@ func syntheticTasks(n int) []*task.Task {
 
 // fillSkewed empties every deque and hands each even worker the whole
 // load. Single-threaded, between phases.
-func (r *engineRun) fillSkewed(load []*task.Task) {
+func (r *engineRun) fillSkewed(load []*node) {
 	for _, w := range r.workers {
 		for w.d.pop() != nil {
 		}

@@ -322,7 +322,7 @@ func Run(cfg Config) (Result, error) {
 // runOn executes a validated config on the given driver — fresh
 // goroutines or a pool's resident workers; the protocol is identical.
 func runOn(cfg *Config, d driver) (Result, error) {
-	res, err := runEngine(cfg, d)
+	res, err := newEngineRun(cfg).run(d)
 	if err != nil {
 		return res, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rips/internal/app"
+	"rips/internal/apps/nqueens"
 	"rips/internal/apps/puzzle"
 	"rips/internal/metrics"
 	"rips/internal/ripsrt"
@@ -239,34 +240,83 @@ func TestStealIdleThiefLeavesOnAbort(t *testing.T) {
 	}
 }
 
-// TestDequeExecutorAllocs pins the slab: with payloads that do not box,
-// a run of the engine allocates one chunk per slabSize tasks and a
-// constant besides (workers, deque rings and their doublings, the
-// pending list's growth) — for RIPS and Hybrid under both local
-// policies and for Steal.
-func TestDequeExecutorAllocs(t *testing.T) {
-	a := newBenchApp(8, 4) // (4^9-1)/3 = 87381 tasks
-	tasks := measure(t, a).tasks
-	const perRun = 250 // the constant part measures ~45 (Steal, Lazy) to ~145 (Eager); a per-task allocation would be 87381
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"rips-lazy", Config{}},
-		{"rips-eager", Config{Local: ripsrt.Eager}},
-		{"steal", Config{Strategy: Steal}},
-		{"hybrid-lazy", Config{Strategy: Hybrid, Domains: 1}},
-		{"hybrid-eager", Config{Strategy: Hybrid, Domains: 2, Local: ripsrt.Eager}},
-	} {
-		c.cfg.Topo, c.cfg.App = topo.NewMesh(1, 2), a
-		var res Result
-		avg := testing.AllocsPerRun(3, func() { res = mustRun(t, c.cfg) })
-		if res.Executed != tasks {
-			t.Fatalf("%s: executed %d of %d tasks", c.name, res.Executed, tasks)
+// nodesCarved counts the task nodes of a finished run. Every task has
+// executed, so every node the run ever carved is on the free list of
+// the worker that executed its last task: the total is the run's node
+// high-water mark, summed over its workers.
+func nodesCarved(r *engineRun) int {
+	n := 0
+	for _, w := range r.workers {
+		for nd := w.free; nd != nil; nd = nd.next {
+			n++
 		}
-		if limit := float64(tasks)/slabSize + perRun; avg > limit {
-			t.Errorf("%s: %.0f allocations for %d tasks (%.3f per task), want at most %.0f (1/%d per task + %d)",
-				c.name, avg, tasks, avg/float64(tasks), limit, slabSize, perRun)
+	}
+	return n
+}
+
+// mallocsOf runs f and returns the number of heap objects the process
+// allocated meanwhile.
+func mallocsOf(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestDequeExecutorAllocs pins the per-task allocation floor at zero: a
+// whole run of the engine — workers, deque rings and their doublings,
+// the pending list's growth, roots, the planner's vectors and the slabs
+// — allocates a constant, a few objects per planned system phase and
+// one slab per slabSize nodes of its high-water mark, whatever the
+// number of tasks. The synthetic tree's payloads are pointers; the
+// built-in apps' are inline words, so a payload that went back to
+// boxing would cost one object per task and fail the same bound.
+// Depth-first rows must also stay shallow: the nodes they carve are a
+// vanishing share of the tasks they run.
+func TestDequeExecutorAllocs(t *testing.T) {
+	// The constant part measures ~50 (Steal) to ~140 (RIPS on the tree)
+	// and a planned phase ~10 (PlanLoads builds its vectors afresh); one
+	// object per task would be 11 000 to 93 000.
+	const perRun, perPhase = 250, 16
+	tree := newBenchApp(8, 4) // (4^9-1)/3 = 87381 tasks
+	ida := puzzle.Configs()[0]
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		shallow bool // depth-first: the deques stay a few tasks deep
+	}{
+		{"tree/rips-lazy", Config{App: tree}, false},
+		{"tree/rips-eager", Config{App: tree, Local: ripsrt.Eager}, false},
+		{"tree/steal", Config{App: tree, Strategy: Steal}, true},
+		{"tree/hybrid-lazy", Config{App: tree, Strategy: Hybrid, Domains: 1}, true},
+		{"tree/hybrid-eager", Config{App: tree, Strategy: Hybrid, Domains: 2, Local: ripsrt.Eager}, false},
+		{"ida1/steal", Config{App: ida, Strategy: Steal}, true},
+		{"ida1/rips", Config{App: ida}, false},
+		{"queens14/rips", Config{App: nqueens.New(14, 4)}, false},
+	} {
+		c.cfg.Topo = topo.NewMesh(1, 2)
+		tasks := measure(t, c.cfg.App).tasks
+		var (
+			r   *engineRun
+			res Result
+			err error
+		)
+		mallocs := mallocsOf(func() {
+			r = newEngineRun(&c.cfg)
+			res, err = r.run(goDriver{})
+		})
+		if err != nil || res.Executed != tasks {
+			t.Fatalf("%s: executed %d of %d tasks: %v", c.name, res.Executed, tasks, err)
+		}
+		nodes := nodesCarved(r)
+		t.Logf("%s: %d tasks on %d nodes, %d allocations, %d phases", c.name, tasks, nodes, mallocs, res.Phases)
+		if limit := uint64(perRun + perPhase*int(res.Phases) + nodes/slabSize); mallocs > limit {
+			t.Errorf("%s: %d allocations for %d tasks on %d nodes in %d phases, want at most %d (%d + %d per phase + one per %d nodes)",
+				c.name, mallocs, tasks, nodes, res.Phases, limit, perRun, perPhase, slabSize)
+		}
+		if c.shallow && int64(nodes) > tasks/20 {
+			t.Errorf("%s: %d nodes carved for %d tasks: a depth-first run is not reusing them", c.name, nodes, tasks)
 		}
 	}
 }

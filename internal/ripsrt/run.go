@@ -211,7 +211,7 @@ func (st *nodeState) loadRoots(round int) {
 		return
 	}
 	for _, sp := range roots[lo:hi] {
-		st.rts.PushBack(task.Task{ID: st.newID(), Origin: st.n.ID(), Size: sp.Size, Data: sp.Data})
+		st.rts.PushBack(task.Task{ID: st.newID(), Origin: st.n.ID(), Size: sp.Size, Data: sp.Payload()})
 	}
 	st.n.Count(CounterGenerated, int64(hi-lo))
 	st.overhead(sim.Time(hi-lo) * st.costs.PerEnqueue)
@@ -226,7 +226,7 @@ func (st *nodeState) execute(tk task.Task) {
 	n.Count(CounterExecuted, 1)
 	var children []task.Task
 	work, res := app.ExecuteCount(st.cfg.App, tk.Data, func(sp app.Spawn) {
-		children = append(children, task.Task{ID: st.newID(), Origin: n.ID(), Size: sp.Size, Data: sp.Data})
+		children = append(children, task.Task{ID: st.newID(), Origin: n.ID(), Size: sp.Size, Data: sp.Payload()})
 	})
 	if res != 0 {
 		n.Count(CounterAppResult, res)

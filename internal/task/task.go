@@ -99,53 +99,6 @@ func (q *Queue) PopFront() (t Task, ok bool) {
 	return t, true
 }
 
-// PopBack removes and returns the back task; ok is false when empty.
-func (q *Queue) PopBack() (t Task, ok bool) {
-	if q.Empty() {
-		return Task{}, false
-	}
-	last := len(q.items) - 1
-	t = q.items[last]
-	q.items[last] = Task{}
-	q.items = q.items[:last]
-	q.maybeCompact()
-	return t, true
-}
-
-// TakeBackInto removes up to len(dst) tasks from the back and copies
-// them into dst in queue order (dst's last element was the queue's
-// back), returning the number taken. It is the allocation-free form of
-// TakeBack: the caller owns dst, so a migration buffer can be reused
-// across system phases.
-func (q *Queue) TakeBackInto(dst []Task) int {
-	n := len(dst)
-	if n > q.Len() {
-		n = q.Len()
-	}
-	if n == 0 {
-		return 0
-	}
-	cut := len(q.items) - n
-	copy(dst, q.items[cut:])
-	for i := cut; i < len(q.items); i++ {
-		q.items[i] = Task{}
-	}
-	q.items = q.items[:cut]
-	q.maybeCompact()
-	return n
-}
-
-// Clear empties the queue, releasing every payload reference but
-// retaining the backing array so refills after a Clear do not
-// reallocate.
-func (q *Queue) Clear() {
-	for i := q.head; i < len(q.items); i++ {
-		q.items[i] = Task{}
-	}
-	q.items = q.items[:0]
-	q.head = 0
-}
-
 // TakeBack removes up to n tasks from the back and returns them in
 // queue order (the slice's last element was the queue's back).
 func (q *Queue) TakeBack(n int) []Task {
@@ -173,6 +126,7 @@ func (q *Queue) TakeBack(n int) []Task {
 func (q *Queue) Drain() []Task {
 	out := make([]Task, q.Len())
 	copy(out, q.items[q.head:])
+	clear(q.items[q.head:]) // release payload references
 	q.items = q.items[:0]
 	q.head = 0
 	return out

@@ -50,24 +50,6 @@ func TestQueuePushFront(t *testing.T) {
 	}
 }
 
-func TestQueuePopBack(t *testing.T) {
-	var q Queue
-	for i := uint64(0); i < 3; i++ {
-		q.PushBack(Task{ID: i})
-	}
-	got, ok := q.PopBack()
-	if !ok || got.ID != 2 {
-		t.Fatalf("PopBack = %+v", got)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	var e Queue
-	if _, ok := e.PopBack(); ok {
-		t.Fatal("PopBack on empty queue succeeded")
-	}
-}
-
 func TestTakeBack(t *testing.T) {
 	var q Queue
 	for i := uint64(0); i < 5; i++ {
@@ -94,59 +76,10 @@ func TestTakeBack(t *testing.T) {
 	}
 }
 
-func TestTakeBackInto(t *testing.T) {
-	var q Queue
-	for i := uint64(0); i < 5; i++ {
-		q.PushBack(Task{ID: i})
-	}
-	buf := make([]Task, 2)
-	if got := q.TakeBackInto(buf); got != 2 || buf[0].ID != 3 || buf[1].ID != 4 {
-		t.Fatalf("TakeBackInto([2]) = %d, buf %v", got, buf)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	// Oversized destination takes what is there and no more.
-	big := make([]Task, 99)
-	if got := q.TakeBackInto(big); got != 3 || big[0].ID != 0 || big[2].ID != 2 {
-		t.Fatalf("TakeBackInto([99]) = %d, front %v", got, big[:3])
-	}
-	if got := q.TakeBackInto(buf); got != 0 {
-		t.Fatalf("TakeBackInto on empty = %d", got)
-	}
-	if got := q.TakeBackInto(nil); got != 0 {
-		t.Fatalf("TakeBackInto(nil) = %d", got)
-	}
-}
-
-func TestClear(t *testing.T) {
-	var q Queue
-	for i := uint64(0); i < 100; i++ {
-		q.PushBack(Task{ID: i, Data: &i})
-	}
-	q.PopFront() // move head so Clear must reset it too
-	before := cap(q.items)
-	q.Clear()
-	if !q.Empty() || q.head != 0 {
-		t.Fatalf("after Clear: Len=%d head=%d", q.Len(), q.head)
-	}
-	if cap(q.items) != before {
-		t.Fatalf("Clear dropped capacity: %d -> %d", before, cap(q.items))
-	}
-	for i := range q.items[:cap(q.items)] {
-		if q.items[:cap(q.items)][i].Data != nil {
-			t.Fatalf("Clear retained payload reference at slot %d", i)
-		}
-	}
-	q.PushBack(Task{ID: 7})
-	if got, _ := q.PopFront(); got.ID != 7 {
-		t.Fatalf("reuse after Clear popped %d", got.ID)
-	}
-}
-
 func TestDrainAndPushAll(t *testing.T) {
 	var q Queue
-	q.PushAll([]Task{{ID: 1}, {ID: 2}, {ID: 3}})
+	x := 0
+	q.PushAll([]Task{{ID: 1, Data: &x}, {ID: 2, Data: &x}, {ID: 3, Data: &x}})
 	q.PopFront()
 	all := q.Drain()
 	if len(all) != 2 || all[0].ID != 2 || all[1].ID != 3 {
@@ -154,6 +87,11 @@ func TestDrainAndPushAll(t *testing.T) {
 	}
 	if !q.Empty() {
 		t.Fatal("queue not empty after Drain")
+	}
+	for i, dead := range q.items[:cap(q.items)] {
+		if dead.Data != nil {
+			t.Fatalf("Drain retained payload reference at slot %d", i)
+		}
 	}
 	q.PushBack(Task{ID: 9})
 	if q.Len() != 1 {
@@ -174,9 +112,8 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("Len = %d", q.Len())
 	}
 	want := uint64(999) // the back element
-	got, _ := q.PopBack()
-	if got.ID != want {
-		t.Fatalf("PopBack = %d, want %d", got.ID, want)
+	if got := q.TakeBack(1); got[0].ID != want {
+		t.Fatalf("TakeBack(1) = %d, want %d", got[0].ID, want)
 	}
 	if q.head >= len(q.items) && q.Len() > 0 {
 		t.Fatal("internal invariant violated after compaction")
@@ -192,7 +129,7 @@ func TestQueueModel(t *testing.T) {
 		var model []Task
 		next := uint64(0)
 		for _, op := range ops {
-			switch op % 6 {
+			switch op % 4 {
 			case 0: // PushBack
 				tk := Task{ID: next}
 				next++
@@ -215,19 +152,7 @@ func TestQueueModel(t *testing.T) {
 					}
 					model = model[1:]
 				}
-			case 3: // PopBack
-				got, ok := q.PopBack()
-				if len(model) == 0 {
-					if ok {
-						return false
-					}
-				} else {
-					if !ok || got.ID != model[len(model)-1].ID {
-						return false
-					}
-					model = model[:len(model)-1]
-				}
-			case 4: // TakeBack(k)
+			case 3: // TakeBack(k)
 				k := rng.Intn(4)
 				got := q.TakeBack(k)
 				if k > len(model) {
@@ -238,22 +163,6 @@ func TestQueueModel(t *testing.T) {
 				}
 				for i := 0; i < k; i++ {
 					if got[i].ID != model[len(model)-k+i].ID {
-						return false
-					}
-				}
-				model = model[:len(model)-k]
-			case 5: // TakeBackInto(k)
-				k := rng.Intn(4)
-				buf := make([]Task, k)
-				got := q.TakeBackInto(buf)
-				if k > len(model) {
-					k = len(model)
-				}
-				if got != k {
-					return false
-				}
-				for i := 0; i < k; i++ {
-					if buf[i].ID != model[len(model)-k+i].ID {
 						return false
 					}
 				}
@@ -333,13 +242,9 @@ func TestRegrowKeepsOrder(t *testing.T) {
 				t.Fatalf("Len = %d after the regrow, want %d", q.Len(), want)
 			}
 
-			// Back: one PopBack, then three through TakeBackInto.
-			if got, ok := q.PopBack(); !ok || got.ID != next-1 {
-				t.Errorf("PopBack = %+v, %v, want ID %d", got, ok, next-1)
-			}
-			buf := make([]Task, 3)
-			if n := q.TakeBackInto(buf); n != 3 || buf[0].ID != next-4 || buf[2].ID != next-2 {
-				t.Errorf("TakeBackInto = %d %+v, want IDs %d..%d", n, buf, next-4, next-2)
+			// Back: the newest four.
+			if got := q.TakeBack(4); len(got) != 4 || got[0].ID != next-4 || got[3].ID != next-1 {
+				t.Errorf("TakeBack(4) = %+v, want IDs %d..%d", got, next-4, next-1)
 			}
 			// Front: everything left, in FIFO order.
 			for want := first; want < next-4; want++ {

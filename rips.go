@@ -52,8 +52,13 @@ import (
 // use the built-in workloads (NQueens, Puzzle15, MolecularDynamics).
 type App = app.App
 
-// Spawn is a task payload emitted by an App.
+// Spawn is a task payload emitted by an App: Data, or the inline words
+// W when Data is nil.
 type Spawn = app.Spawn
+
+// Words is the inline payload of a Spawn whose Data is nil; Execute
+// receives it as a *Words, valid until Execute returns.
+type Words = app.Words
 
 // Profile is a sequential execution profile (Ts, per-round work).
 type Profile = app.Profile
