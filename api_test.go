@@ -518,7 +518,7 @@ func TestConfigJSONCanonical(t *testing.T) {
 	}
 }
 
-// TestPublicSubPools drives Split/Resize/Release through the public
+// TestPublicSubPools drives Split/Release through the public
 // API: two leases run concurrently submitted jobs with correct
 // answers, and Validate enforces the lease size, not the root's.
 func TestPublicSubPools(t *testing.T) {
@@ -567,17 +567,19 @@ func TestPublicSubPools(t *testing.T) {
 	wg.Wait()
 
 	a.Release()
-	if err := b.Resize(4); err != nil {
-		t.Fatalf("Resize(4) after release: %v", err)
+	b.Release()
+	whole, err := pool.Split(4)
+	if err != nil {
+		t.Fatalf("Split(4) after both releases: %v", err)
 	}
-	res, err := rips.RunContext(context.Background(), rips.NQueens(8), rips.Config{Procs: 4, Backend: rips.Parallel, Pool: b})
+	res, err := rips.RunContext(context.Background(), rips.NQueens(8), rips.Config{Procs: 4, Backend: rips.Parallel, Pool: whole})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AppResult != 92 {
-		t.Errorf("resized lease AppResult = %d, want 92", res.AppResult)
+		t.Errorf("whole-pool lease AppResult = %d, want 92", res.AppResult)
 	}
-	b.Release()
+	whole.Release()
 	if free := pool.Free(); free != 4 {
 		t.Errorf("Free() after releasing both leases = %d, want 4", free)
 	}

@@ -322,7 +322,7 @@ func detail() error {
 		n = 12
 	}
 	a := nqueens.New(n, 4)
-	res, err := ripsrt.Run(ripsrt.Config{Mesh: table1Mesh(), App: a, Seed: *seed})
+	res, err := ripsrt.Run(ripsrt.Config{Topo: table1Mesh(), App: a, Seed: *seed})
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@ import (
 // It parses the algorithm and backend with the same ParseAlgorithm/
 // ParseBackend the server uses, assembles the configuration through
 // rips.NewConfig (so a bad combination errors here, not mid-run), runs
-// via rips.RunContext (Ctrl-C-able through -timeout), and with -json
+// via rips.RunContext (-timeout is Config.Timeout), and with -json
 // emits the same rips-result/v1 document ripsd streams ("-" for
 // stdout), so a CLI run and a served run are comparable byte for byte.
 func runCmd(args []string) error {
@@ -31,7 +31,7 @@ func runCmd(args []string) error {
 	procs := fs.Int("procs", 4, "machine size (simulated nodes or real workers)")
 	topoName := fs.String("topo", "", "topology: mesh, tree or hypercube (default mesh)")
 	algName := fs.String("alg", "rips", "algorithm: rips, random, gradient, rid, static or steal")
-	backendName := fs.String("backend", "simulate", "backend: simulate or parallel")
+	backendName := fs.String("backend", "simulate", "backend: simulate, parallel or hybrid")
 	eager := fs.Bool("eager", false, "RIPS eager local policy")
 	all := fs.Bool("all", false, "RIPS ALL global policy")
 	detect := fs.Duration("detect", 0, "parallel-backend detector interval (0 adapts)")
@@ -70,18 +70,15 @@ func runCmd(args []string) error {
 	if *detect != 0 {
 		opts = append(opts, rips.WithDetectInterval(*detect))
 	}
+	if *timeout != 0 {
+		opts = append(opts, rips.WithTimeout(*timeout))
+	}
 	cfg, err := rips.NewConfig(opts...)
 	if err != nil {
 		return err
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	res, runErr := rips.RunContext(ctx, a, cfg)
+	res, runErr := rips.RunContext(context.Background(), a, cfg)
 	if runErr != nil && !res.Canceled {
 		return runErr
 	}

@@ -58,10 +58,11 @@ func TestHotpathCoverage(t *testing.T) {
 	}
 	// The steady-state hot set of the real-parallel backend (see
 	// TestSteadyStateZeroAlloc and TestDequeExecutorAllocs in
-	// internal/par): the one engine's phase loop, both leader callbacks,
-	// the parallel plan application, the steal sweep and the deque
+	// internal/par): the one engine's phase loop, the leader's system
+	// phase and its plan application, the steal sweep and the deque
 	// operations under them — proven allocation-free apart from the slab
-	// refill, the pending list's growth and deque.grow.
+	// refill, the growth of the pending list and of the system phase's
+	// scratch, and deque.grow.
 	for _, fn := range []string{
 		"par.(*engineRun).phaseLoop",
 		"par.(*engineRun).phaseStep",
@@ -74,13 +75,7 @@ func TestHotpathCoverage(t *testing.T) {
 		"par.(*engineRun).beginPhase",
 		"par.(*engineRun).finishPhase",
 		"par.(*detector).update",
-		"par.(*engineRun).stageMoves",
-		"par.(*engineRun).ensureXbuf",
-		"par.partitionInWaves",
-		"par.waveBounds",
 		"par.BalancedCanonical",
-		"par.(*engineRun).applyTake",
-		"par.(*engineRun).applyPush",
 		"par.(*engineRun).takeMove",
 		"par.(*engineRun).pushMove",
 		"par.(*epochBarrier).await",

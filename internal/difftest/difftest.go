@@ -236,11 +236,6 @@ func (h *Harness) checkParallel(cfg Config, e *appEntry, strat par.Strategy, bac
 			Local:    cfg.Local,
 			Global:   cfg.Global,
 			Seed:     cfg.Seed,
-			// Fan every plan out, however small: the two-phase parallel
-			// apply (and, via the default DetectInterval, the adaptive
-			// detector) is exactly the machinery this harness exists to
-			// stress-test against the sequential truth.
-			ParallelApplyMin: -1,
 		}
 		if strat == par.Hybrid {
 			pc.Domains = cfg.Domains

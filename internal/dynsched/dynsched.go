@@ -16,7 +16,6 @@ package dynsched
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"rips/internal/app"
 	"rips/internal/invariant"
@@ -71,14 +70,17 @@ type Config struct {
 	Latency   *sim.LatencyModel
 	Seed      int64
 	MaxEvents uint64
-	// PerTask is the packing cost per migrated task (default 2us).
-	PerTask sim.Time
-	// PerEnqueue is the bookkeeping cost per generated task (1us).
-	PerEnqueue sim.Time
 	// Cancel, when non-nil, aborts the run once the channel is closed;
 	// the partial Result has Canceled set and conservation unchecked.
 	Cancel <-chan struct{}
 }
+
+// Runtime bookkeeping charged as overhead on the node clocks, the same
+// constants ripsrt charges.
+const (
+	perTask    = 2 * sim.Microsecond // packing one migrated task
+	perEnqueue = sim.Microsecond     // bookkeeping for one generated task
+)
 
 func (c *Config) latency() sim.LatencyModel {
 	if c.Latency != nil {
@@ -102,12 +104,6 @@ type Result struct {
 func Run(cfg Config) (Result, error) {
 	if cfg.Topo == nil || cfg.App == nil || cfg.Strategy == nil {
 		return Result{}, fmt.Errorf("dynsched: Topo, App and Strategy are required")
-	}
-	if cfg.PerTask == 0 {
-		cfg.PerTask = 2 * sim.Microsecond
-	}
-	if cfg.PerEnqueue == 0 {
-		cfg.PerEnqueue = sim.Microsecond
 	}
 	sr, err := sim.Run(sim.Config{
 		Topo:      cfg.Topo,
@@ -148,9 +144,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// Debug enables stderr tracing of the termination protocol.
-var Debug bool
 
 // token is Safra's termination token.
 type token struct {
@@ -193,7 +186,7 @@ func (c *Ctx) NewTask(sp app.Spawn) task.Task {
 
 // Enqueue files a task for local execution.
 func (c *Ctx) Enqueue(t task.Task) {
-	c.N.Overhead(c.cfg.PerEnqueue)
+	c.N.Overhead(perEnqueue)
 	c.Q.PushBack(t)
 }
 
@@ -204,7 +197,7 @@ func (c *Ctx) SendTasks(to int, ts []task.Task) {
 	if to == c.N.ID() {
 		invariant.Violated("dynsched: SendTasks to self")
 	}
-	c.N.Overhead(c.cfg.PerTask * sim.Time(len(ts)))
+	c.N.Overhead(perTask * sim.Time(len(ts)))
 	c.N.Count(CounterMigrated, int64(len(ts)))
 	c.counter++
 	c.N.SendTag(to, TagTask, taskMsg{tasks: ts, load: c.Q.Len()}, sizeOfTasks(ts))
@@ -314,9 +307,6 @@ func (c *Ctx) handle(m sim.Message) bool {
 	case TagToken:
 		c.tokenIn = true
 		c.tokenVal = m.Data.(token)
-		if Debug {
-			fmt.Fprintf(os.Stderr, "[%v] node %d got token %+v (counter=%d black=%v round=%d)\n", c.N.Now(), c.N.ID(), c.tokenVal, c.counter, c.black, c.round)
-		}
 	case TagTerm:
 		return c.onTerm(m.Data.(termMsg))
 	case TagGo:
@@ -384,9 +374,6 @@ type termMsg struct {
 func (c *Ctx) finishRound() {
 	n := c.N
 	final := c.round+1 >= c.cfg.App.Rounds()
-	if Debug {
-		fmt.Fprintf(os.Stderr, "[%v] node 0 finishing round %d (final=%v)\n", c.N.Now(), c.round, final)
-	}
 	for id := 1; id < n.N(); id++ {
 		n.SendTag(id, TagTerm, termMsg{round: c.round, final: final}, 16)
 	}

@@ -103,7 +103,7 @@ func RunOne(w Workload, mesh *topo.Mesh, s Scheduler, seed int64) (metrics.Row, 
 	switch s {
 	case SchedRIPS:
 		res, err := ripsrt.Run(ripsrt.Config{
-			Mesh:   mesh,
+			Topo:   mesh,
 			App:    w.App,
 			Local:  ripsrt.Lazy,
 			Global: ripsrt.Any,

@@ -268,7 +268,7 @@ func Ablation(w Workload, mesh *topo.Mesh, period sim.Time, seed int64) ([]Ablat
 	var out []AblationRow
 	for _, v := range variants {
 		cfg := ripsrt.Config{
-			Mesh:     mesh,
+			Topo:     mesh,
 			App:      w.App,
 			Local:    v.local,
 			Global:   v.global,
@@ -399,7 +399,7 @@ func Taxonomy(ws []TaxonomyWorkload, mesh *topo.Mesh, seed int64) ([]TaxonomyRow
 				Time: res.Time, Eff: metrics.Efficiency(w.Profile.Work, mesh.Size(), res.Time),
 			})
 		}
-		res, err := ripsrt.Run(ripsrt.Config{Mesh: mesh, App: w.App, Seed: seed})
+		res, err := ripsrt.Run(ripsrt.Config{Topo: mesh, App: w.App, Seed: seed})
 		if err != nil {
 			return out, fmt.Errorf("%s under rips: %w", w.App.Name(), err)
 		}

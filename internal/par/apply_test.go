@@ -1,54 +1,13 @@
 package par
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"rips/internal/sched"
 	"rips/internal/topo"
 )
-
-// TestPartitionWaves drives the wave partition on a hand-built
-// forwarding chain: every move sources tasks that the previous move
-// has yet to deliver, so each move must land in its own wave.
-func TestPartitionWaves(t *testing.T) {
-	cfg := Config{Topo: topo.NewMesh(1, 4), App: queens8()}
-	r := newEngineRun(&cfg)
-	copy(r.loads, []int{8, 0, 0, 0})
-	ids := pushFresh(r.workers[0], 8)
-
-	chain := []sched.Move{{From: 0, To: 1, Count: 6}, {From: 1, To: 2, Count: 4}, {From: 2, To: 3, Count: 2}}
-	r.stageMoves(chain)
-	r.waveEnds = partitionInWaves(r.moves, r.loads, r.avail, r.pend, r.waveEnds)
-	if len(r.waveEnds) != 3 {
-		t.Fatalf("waveEnds = %v, want one wave per forwarding hop (3)", r.waveEnds)
-	}
-	for wv, end := range r.waveEnds {
-		if end != wv+1 {
-			t.Errorf("wave %d ends at move %d, want %d", wv, end, wv+1)
-		}
-	}
-
-	// Replay the waves (single-threaded here; concurrency is covered by
-	// TestParallelApplyConcurrent) and check the chain really lands.
-	for wv := 0; wv < len(r.waveEnds); wv++ {
-		for _, w := range r.workers {
-			r.applyTake(w, wv)
-		}
-		for _, w := range r.workers {
-			r.applyPush(w, wv)
-		}
-	}
-	for _, w := range r.workers {
-		drainKnown(t, w, 2, ids)
-	}
-	if len(ids) != 0 {
-		t.Errorf("%d tasks lost in the forwarding chain", len(ids))
-	}
-}
 
 // pushFresh pushes n new tasks of w's own onto its deque and returns
 // the set of their IDs.
@@ -62,41 +21,53 @@ func pushFresh(w *engineWorker, n int) map[uint64]bool {
 	return ids
 }
 
-// drainKnown empties w's deque, which must hold exactly want tasks,
-// each of them still in ids; it strikes out the ones it finds.
-func drainKnown(t *testing.T, w *engineWorker, want int, ids map[uint64]bool) {
+// drainKnown empties w's deque, every task of which must still be in
+// ids; it strikes out the ones it finds and returns how many there were.
+func drainKnown(t *testing.T, w *engineWorker, ids map[uint64]bool) int {
 	t.Helper()
-	if got := int(w.d.size()); got != want {
-		t.Errorf("worker %d holds %d tasks, want %d", w.id, got, want)
-	}
+	n := 0
 	for tk := w.d.pop(); tk != nil; tk = w.d.pop() {
 		if !ids[tk.id] {
 			t.Errorf("worker %d holds duplicated or unknown task %d", w.id, tk.id)
 		}
 		delete(ids, tk.id)
+		n++
 	}
+	return n
 }
 
-// TestParallelApplyConcurrent runs one full system phase with every
-// worker applying its share of the plan concurrently (real goroutines,
-// real sub-barriers — under -race and -tags ripsperturb this is the
-// adversarial interleaving test for the exchange protocol). The phase
-// must land the exact canonical quota on every worker and preserve the
-// task multiset.
-func TestParallelApplyConcurrent(t *testing.T) {
-	for _, tp := range []topo.Topology{
-		topo.NewMesh(1, 8), // chain: maximal forwarding depth
-		topo.NewMesh(4, 4),
-		topo.NewTree(7),
-		topo.NewHypercube(3),
+// TestApplyLandsCanonicalQuota runs one full system phase through
+// phaseStep with every worker on a goroutine of its own (under -race
+// and -tags ripsperturb the arrivals at the barrier are adversarial).
+// The phase must be one crossing of the epoch barrier, land the exact
+// canonical quota on every domain and preserve the task multiset. The
+// 1x8 chain is the forwarding case: every move but the first sources
+// tasks the move before it delivered. The Hybrid machine is 8 workers
+// in 4 two-worker domains with the load on both workers of domain 0:
+// its export is larger than either deque, so a take sweeps both, and a
+// push splits its tasks between the two workers it lands on.
+func TestApplyLandsCanonicalQuota(t *testing.T) {
+	for _, cfg := range []Config{
+		{Topo: topo.NewMesh(1, 8)},
+		{Topo: topo.NewMesh(4, 4)},
+		{Topo: topo.NewTree(7)},
+		{Topo: topo.NewHypercube(3)},
+		{Topo: topo.NewMesh(2, 4), Strategy: Hybrid, Domains: 4},
 	} {
-		t.Run(tp.Name(), func(t *testing.T) {
-			cfg := Config{Topo: tp, App: queens8(), ParallelApplyMin: -1}
+		cfg.App = queens8()
+		name := cfg.Topo.Name()
+		if cfg.Strategy == Hybrid {
+			name = "hybrid " + name
+		}
+		t.Run(name, func(t *testing.T) {
 			r := newEngineRun(&cfg)
-			n := tp.Size()
 			const total = 203 // awkward remainder so quotas differ by one
-			ids := pushFresh(r.workers[0], total)
+			ids := pushFresh(r.workers[0], total/2)
+			for id := range pushFresh(r.workers[r.doms[0].hi-1], total-total/2) {
+				ids[id] = true
+			}
 
+			before := r.bar.epoch
 			var wg sync.WaitGroup
 			for _, w := range r.workers {
 				wg.Add(1)
@@ -110,52 +81,33 @@ func TestParallelApplyConcurrent(t *testing.T) {
 			}
 			wg.Wait()
 
-			if r.waves == 0 {
-				t.Error("no waves fanned out despite ParallelApplyMin < 0")
+			if got := r.bar.epoch - before; got != 1 {
+				t.Errorf("one system phase crossed the epoch barrier %d times, want 1", got)
 			}
-			for i, w := range r.workers {
-				quota := total / n
-				if i < total%n {
+			if r.migrated == 0 || r.doms[0].migrated == 0 {
+				t.Errorf("migrated %d tasks, %d of them out of domain 0; the skew needs a plan", r.migrated, r.doms[0].migrated)
+			}
+			for _, dom := range r.doms {
+				quota := total / r.nd
+				if dom.id < total%r.nd {
 					quota++
 				}
-				drainKnown(t, w, quota, ids)
+				held := 0
+				for _, w := range r.workers[dom.lo:dom.hi] {
+					n := drainKnown(t, w, ids)
+					if n == 0 && dom.migrated == 0 {
+						t.Errorf("worker %d of domain %d, which only received, was left empty", w.id, dom.id)
+					}
+					held += n
+				}
+				if held != quota {
+					t.Errorf("domain %d holds %d tasks, want the canonical quota %d", dom.id, held, quota)
+				}
 			}
 			if len(ids) != 0 {
-				t.Errorf("%d tasks lost by the parallel apply", len(ids))
+				t.Errorf("%d tasks lost by the apply", len(ids))
 			}
 		})
-	}
-}
-
-// TestApplyModesAgree proves the apply strategy is answer-invisible:
-// default thresholding, forced serial, and forced parallel application
-// must execute the identical task decomposition.
-func TestApplyModesAgree(t *testing.T) {
-	base := Config{Topo: topo.NewMesh(2, 2), App: queens8()}
-	ref := mustRun(t, base)
-	checkQueens8(t, ref, "RIPS default apply")
-
-	serial := base
-	serial.ParallelApplyMin = math.MaxInt
-	sres := mustRun(t, serial)
-	if sres.Waves != 0 {
-		t.Errorf("ParallelApplyMin = MaxInt fanned out %d waves", sres.Waves)
-	}
-
-	forced := base
-	forced.ParallelApplyMin = -1
-	pres := mustRun(t, forced)
-	if pres.Migrated > 0 && pres.Waves == 0 {
-		t.Errorf("forced parallel apply migrated %d tasks in zero waves", pres.Migrated)
-	}
-
-	for label, res := range map[string]Result{"serial": sres, "parallel": pres} {
-		if res.AppResult != ref.AppResult || res.Generated != ref.Generated ||
-			res.Executed != ref.Executed || res.VirtualWork != ref.VirtualWork {
-			t.Errorf("%s apply diverges from default: result %d/%d generated %d/%d work %v/%v",
-				label, res.AppResult, ref.AppResult, res.Generated, ref.Generated,
-				res.VirtualWork, ref.VirtualWork)
-		}
 	}
 }
 
@@ -211,20 +163,5 @@ func TestDetectModesAgree(t *testing.T) {
 			t.Errorf("detect interval %v diverges: result %d/%d generated %d/%d",
 				interval, res.AppResult, ref.AppResult, res.Generated, ref.Generated)
 		}
-	}
-}
-
-// TestPhaseSummaryBounded checks the default (no TracePhases) run keeps
-// only the bounded summary: no trace, but count/sum/max populated.
-func TestPhaseSummaryBounded(t *testing.T) {
-	res := mustRun(t, Config{Topo: topo.NewMesh(2, 2), App: queens8()})
-	if res.PhaseTotals != nil {
-		t.Errorf("PhaseTotals recorded without TracePhases: %d entries", len(res.PhaseTotals))
-	}
-	if res.Phases == 0 || res.PhaseSum <= 0 || res.PhaseMax <= 0 {
-		t.Errorf("phase summary empty: phases=%d sum=%d max=%d", res.Phases, res.PhaseSum, res.PhaseMax)
-	}
-	if int64(res.PhaseMax) > res.PhaseSum {
-		t.Errorf("PhaseMax %d exceeds PhaseSum %d", res.PhaseMax, res.PhaseSum)
 	}
 }

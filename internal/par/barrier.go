@@ -37,9 +37,7 @@ func (b *epochBarrier) await(leader func()) int64 {
 	e := b.epoch
 	b.arrived++
 	if b.arrived == b.parties {
-		if leader != nil {
-			leader() //ripslint:allow hotpath the two leader callbacks (beginPhase, finishPhase) are hot-path roots of their own
-		}
+		leader() //ripslint:allow hotpath the leader callback (beginPhase) is a hot-path root of its own
 		b.arrived = 0
 		b.epoch++
 		b.cond.Broadcast()

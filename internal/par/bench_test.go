@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -72,8 +71,8 @@ func (r *engineRun) runTree(w *engineWorker, root *benchNode) {
 
 // TestSteadyStateZeroAlloc is the allocation contract of the engine's
 // hot path under RIPS: once the reusable buffers are warm, executing
-// tasks, running a balanced system phase and applying a staged plan
-// through the exchange buffers must not allocate at all — a task's node
+// tasks, running a balanced system phase and applying a plan's moves
+// through the run's scratch must not allocate at all — a task's node
 // comes off the free list its predecessors retired to.
 // The planner itself is excluded from the contract (it builds fresh
 // trace vectors per call; see DESIGN.md §9) — which is why the balanced
@@ -112,28 +111,15 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		r := newEngineRun(&cfg)
 		const k = 64
 		pushFresh(r.workers[0], 2*k)
-		fwd := []sched.Move{{From: 0, To: 1, Count: k}}
-		back := []sched.Move{{From: 1, To: 0, Count: k}}
-		apply := func(ms []sched.Move, l0, l1 int) {
-			r.loads[0], r.loads[1] = l0, l1
-			r.moves = r.moves[:0]
-			r.waveEnds = r.waveEnds[:0]
-			r.stageMoves(ms)
-			r.waveEnds = partitionInWaves(r.moves, r.loads, r.avail, r.pend, r.waveEnds)
-			for wv := 0; wv < len(r.waveEnds); wv++ {
-				r.applyTake(r.workers[0], wv)
-				r.applyTake(r.workers[1], wv)
-				r.applyPush(r.workers[0], wv)
-				r.applyPush(r.workers[1], wv)
-			}
-		}
+		fwd := sched.Move{From: 0, To: 1, Count: k}
+		back := sched.Move{From: 1, To: 0, Count: k}
 		body := func() { // ping-pong k tasks so state returns to start
-			apply(fwd, 2*k, 0)
-			apply(back, k, k)
+			r.pushMove(1, r.takeMove(fwd))
+			r.pushMove(0, r.takeMove(back))
 		}
-		body() // warm move list, wave list, exchange buffers, deque rings
+		body() // the lap that grows the scratch to its high-water mark, and the deque rings
 		if avg := testing.AllocsPerRun(100, body); avg != 0 {
-			t.Errorf("staged plan application allocates %.1f times per phase", avg)
+			t.Errorf("plan application allocates %.1f times per phase", avg)
 		}
 	})
 }
@@ -155,7 +141,7 @@ func BenchmarkExecute(b *testing.B) {
 
 // BenchmarkExchange measures the batched-migration primitive: a
 // round trip of 1024 tasks between two deques through a persistent
-// exchange buffer (takeBottomInto + bulk push each way).
+// scratch slice (takeBottomInto + bulk push each way).
 func BenchmarkExchange(b *testing.B) {
 	const k = 1024
 	d0, d1 := newDeque(), newDeque()
@@ -173,21 +159,10 @@ func BenchmarkExchange(b *testing.B) {
 
 // BenchmarkSystemPhase measures one full stop-the-world system phase on
 // a 16-worker mesh with a heavily skewed load (even workers hold 4096
-// tasks, odd workers none), comparing the serial leader-only plan
-// application against the waved parallel apply; `go run ./bench
-// -trace 1` reports the parallel side as par.system_phase_us.
+// tasks, odd workers none); `go run ./bench -trace 1` reports the same
+// measurement at its own worker count as par.system_phase_us.
 func BenchmarkSystemPhase(b *testing.B) {
-	b.Run("serial", func(b *testing.B) {
-		benchmarkSystemPhase(b, Config{ParallelApplyMin: math.MaxInt})
-	})
-	b.Run("parallel", func(b *testing.B) {
-		benchmarkSystemPhase(b, Config{ParallelApplyMin: -1})
-	})
-}
-
-func benchmarkSystemPhase(b *testing.B, cfg Config) {
-	cfg.Topo = topo.NewMesh(4, 4)
-	cfg.App = newBenchApp(1, 2)
+	cfg := Config{Topo: topo.NewMesh(4, 4), App: newBenchApp(1, 2)}
 	r := newEngineRun(&cfg)
 	load := syntheticTasks(4096)
 	r.fillSkewed(load) // pre-grow the deque rings

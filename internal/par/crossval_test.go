@@ -85,7 +85,7 @@ func crossValidate(t *testing.T, mk func() app.App) {
 
 	// The simulator backend, same meshes as the paper's small end.
 	for _, mesh := range []*topo.Mesh{topo.NewMesh(2, 2), topo.NewMesh(2, 4)} {
-		sres, err := ripsrt.Run(ripsrt.Config{Mesh: mesh, App: mk()})
+		sres, err := ripsrt.Run(ripsrt.Config{Topo: mesh, App: mk()})
 		if err != nil {
 			t.Fatalf("simulator on %s: %v", mesh.Name(), err)
 		}
@@ -137,7 +137,7 @@ func TestCrossValidateIDAStar(t *testing.T) {
 	}
 	checkPar(t, "par steal IDA*", sres, want)
 
-	simres, err := ripsrt.Run(ripsrt.Config{Mesh: mesh, App: cfg1})
+	simres, err := ripsrt.Run(ripsrt.Config{Topo: mesh, App: cfg1})
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}

@@ -23,9 +23,9 @@ import (
 // partitioned into contiguous domain blocks; during user phases an idle
 // worker steals only from its domain-mates, and in a system phase the
 // leader snapshots per-DOMAIN load sums, plans over the domain-level
-// machine with the unchanged walking algorithms, and the domain leaders
-// apply the plan by moving tasks between domains' deques. Imbalance
-// inside a domain needs no planning: the deques absorb it continuously.
+// machine with the unchanged walking algorithms, and applies the plan
+// itself by moving tasks between domains' deques. Imbalance inside a
+// domain needs no planning: the deques absorb it continuously.
 //
 // Hybrid is the general case: the domains are the machine's NUMA nodes
 // (or Config.Domains), workers pin to them, and the planner sees a
@@ -47,8 +47,8 @@ import (
 // can therefore never be left behind. A Steal run reports none of this
 // as phases: to its caller a crossing is a round barrier.
 
-// node is one task of the engine: what the deques, the exchange
-// buffers and a thief's hand point at. The payload is data, or the
+// node is one task of the engine: what the deques, the system phase's
+// scratch and a thief's hand point at. The payload is data, or the
 // inline words w when data is nil (app.Spawn's contract). A node is one
 // cache line and is reused for as long as the run lasts:
 //
@@ -149,9 +149,7 @@ func (w *engineWorker) release() {
 }
 
 // engineDomain is one contiguous worker block [lo, hi) acting as a
-// single node of the phase protocol. Worker lo is the domain leader: it
-// alone executes the domain's take and push halves of plan application,
-// on its pinned thread.
+// single node of the phase protocol.
 type engineDomain struct {
 	id     int
 	lo, hi int
@@ -159,37 +157,14 @@ type engineDomain struct {
 	// under RIPS and Steal, and on machines without a visible multi-node
 	// topology, where pinning to the whole machine would be a no-op
 	// constraint.
-	cpus []int
-	// xbuf is the domain's migration exchange buffer: each system phase
-	// stages the task pointers this domain exports into disjoint
-	// regions of xbuf, reusing the array across phases. On the parallel
-	// path it is grown by the domain leader on its pinned thread, so
-	// the backing array is first-touched on the domain's own node.
-	// xneed is the phase's required length, staged by the global leader
-	// with the world stopped. Writers: the domain leader during the take
-	// half (or the global leader when it applies alone). Readers: each
-	// move's destination leader during the push half, ordered by the
-	// exchange sub-barrier.
-	xbuf     []*node
-	xneed    int
-	migrated int64
+	cpus     []int
+	migrated int64 // tasks system phases exported from this domain
 }
 
 func (d *engineDomain) size() int { return d.hi - d.lo }
 
-// applyMove is one plan move staged for application: count tasks from
-// domain from to domain to, parked in from's exchange buffer at
-// [off, off+count). got is the number actually taken — written by the
-// taker, read by the pusher across the exchange sub-barrier.
-type applyMove struct {
-	from, to, count int
-	off             int
-	got             int
-}
-
-// engineRun is the shared state of one run. Loads, plans, waves and
-// exchange buffers are all indexed by domain, and nd (not n) bounds the
-// planner's problem size.
+// engineRun is the shared state of one run. Loads and plans are indexed
+// by domain, and nd (not n) bounds the planner's problem size.
 type engineRun struct {
 	cfg     *Config
 	n, nd   int
@@ -207,10 +182,9 @@ type engineRun struct {
 	steal, eager, all bool
 	classes           int
 
-	// beginFn/endFn are the leader callbacks bound once: passing a fresh
-	// method value to await on every phase would allocate on the hot
-	// path.
-	beginFn, endFn func()
+	// beginFn is beginPhase bound once: passing a fresh method value to
+	// await on every phase would allocate on the hot path.
+	beginFn func()
 
 	// cancel is the abort flag mirrored from Config.Cancel by a watcher
 	// goroutine (see watchCancel); workers poll it between tasks and the
@@ -234,27 +208,23 @@ type engineRun struct {
 	err        error
 	phases     int64
 	migrated   int64
-	waves      int64
 	sysTime    time.Duration
 	phaseStart time.Time
 	phaseTotal int // global task total snapshotted by the phase in flight
 	phaseMoved int // tasks the phase in flight migrates (plan cost)
 
-	// Bounded phase-total summary; the full per-phase trace is recorded
-	// only under Config.TracePhases so long runs stop growing memory
-	// per phase.
-	phaseSum    int64
-	phaseMax    int
-	phaseTotals []int
+	// Bounded phase-total summary; Config.OnPhase delivers every phase's
+	// total to whoever wants the trace.
+	phaseSum int64
+	phaseMax int
 
-	// Reusable system-phase buffers, nd entries each (zero steady-state
-	// allocations): loads is the snapshot, avail/pend are wave-partition
-	// scratch, moves/waveEnds hold the staged plan.
-	loads    []int
-	avail    []int
-	pend     []int
-	moves    []applyMove
-	waveEnds []int
+	// Reusable system-phase buffers (zero steady-state allocations):
+	// loads is the snapshot and after the balance check's recount, nd
+	// entries each; xfer is the scratch every move's tasks pass through
+	// between take and push, grown to the largest single move and kept.
+	loads []int
+	after []int
+	xfer  []*node
 
 	// det is the ANY transfer detector (see detector.go).
 	det *detector
@@ -295,11 +265,9 @@ func newEngineRun(cfg *Config) *engineRun {
 	}
 	nd := r.nd
 	r.loads = make([]int, nd)
-	r.avail = make([]int, nd)
-	r.pend = make([]int, nd)
+	r.after = make([]int, nd)
 	r.det = newDetector(cfg, n, &r.cancel)
 	r.beginFn = r.beginPhase
-	r.endFn = r.finishPhase
 	classOf := workerDomains(domainBlocks(n, max(r.classes, 1)), n)
 	blocks := domainBlocks(n, nd)
 	for d := 0; d < nd; d++ {
@@ -367,10 +335,8 @@ func (r *engineRun) run(d driver) (Result, error) {
 		res.Overhead = r.sysTime
 		res.Migrated = r.migrated
 		res.Phases = r.phases
-		res.Waves = r.waves
 		res.PhaseSum = r.phaseSum
 		res.PhaseMax = r.phaseMax
-		res.PhaseTotals = r.phaseTotals
 	}
 	if r.classes > 0 {
 		res.DomainSteals = make([]int64, r.classes)
@@ -452,26 +418,13 @@ func (r *engineRun) phaseLoop(w *engineWorker) {
 }
 
 // phaseStep runs one complete system phase from w's perspective and
-// reports whether the run continues. The phase is a short barrier
-// protocol rather than a single leader callback:
-//
-//  1. every worker releases its own Eager-staged children into its
-//     deque (in parallel, before the world stops; nothing is pending
-//     under Lazy) — leftover tasks are rescheduled together with the
-//     staged ones (paper Section 2);
-//  2. the last arrival becomes the leader and runs beginPhase with the
-//     world stopped: snapshot, round detection, planning, and the
-//     partition of the move list into two-phase waves;
-//  3. for each wave, every domain leader concurrently takes its
-//     domain's outgoing moves into its exchange buffer, crosses the
-//     exchange sub-barrier, then concurrently pushes its incoming moves
-//     — so plan application runs on all domains' cores instead of one;
-//     every other worker just crosses the sub-barriers;
-//  4. the final sub-barrier's leader runs finishPhase (invariants,
-//     detector adaptation, timing).
-//
-// Small plans skip step 3 entirely: beginPhase applies them serially
-// and the wave list comes back empty (see Config.ParallelApplyMin).
+// reports whether the run continues. A phase is exactly one crossing of
+// the epoch barrier: every worker releases its own Eager-staged
+// children into its deque (in parallel, before the world stops; nothing
+// is pending under Lazy) — leftover tasks are rescheduled together with
+// the staged ones (paper Section 2) — and the last arrival runs
+// beginPhase with the world stopped: snapshot, round detection, plan,
+// every move of the plan, invariants, detector adaptation, timing.
 func (r *engineRun) phaseStep(w *engineWorker, point *int64) bool {
 	// Schedule-perturbation point (no-op unless built with
 	// -tags ripsperturb): jitter this worker's barrier arrival so
@@ -480,24 +433,7 @@ func (r *engineRun) phaseStep(w *engineWorker, point *int64) bool {
 	perturb(w.id, *point)
 	w.release()
 	r.bar.await(r.beginFn)
-	if r.done { // leader decision, ordered by the barrier
-		return false
-	}
-	for wv := 0; wv < len(r.waveEnds); wv++ {
-		r.applyTake(w, wv)
-		*point++
-		perturb(w.id, *point)
-		r.bar.await(nil) // exchange sub-barrier: all takes land before any push
-		r.applyPush(w, wv)
-		*point++
-		perturb(w.id, *point)
-		if wv == len(r.waveEnds)-1 {
-			r.bar.await(r.endFn)
-		} else {
-			r.bar.await(nil) // wave boundary: forwarded tasks are now takeable
-		}
-	}
-	return true
+	return !r.done // leader decision, ordered by the barrier
 }
 
 // userPhase executes tasks until this phase's transfer condition is
@@ -629,9 +565,9 @@ func (r *engineRun) execute(w *engineWorker, t *node) {
 // no task is in a thief's hand and the deque sizes are exact — the
 // snapshot, not any count kept while workers run, is what ends a
 // round), runs the pure walking algorithm over the planner's topology
-// and stages the plan for application. Large plans are partitioned into
-// waves for the domain leaders to apply concurrently; small ones are
-// applied by the leader on the spot.
+// and applies the plan move by move in plan order — which is
+// sequentially feasible: a move that forwards tasks finds them already
+// landed — then closes the phase (finishPhase).
 //
 // It is a hot-path root of its own: the barrier invokes it through a
 // pre-bound function value (r.beginFn), which the traversal cannot
@@ -650,8 +586,6 @@ func (r *engineRun) beginPhase() {
 		return
 	}
 	r.phaseStart = time.Now()
-	r.moves = r.moves[:0]
-	r.waveEnds = r.waveEnds[:0]
 	r.phaseMoved = 0
 
 	total := 0
@@ -668,9 +602,6 @@ func (r *engineRun) beginPhase() {
 	r.phaseSum += int64(total)
 	if total > r.phaseMax {
 		r.phaseMax = total
-	}
-	if r.cfg.TracePhases {
-		r.phaseTotals = append(r.phaseTotals, total) //ripslint:allow hotpath opt-in tracing grows the trace by design; steady-state runs keep TracePhases off
 	}
 
 	if total == 0 {
@@ -710,54 +641,33 @@ func (r *engineRun) beginPhase() {
 	}
 	r.phaseMoved = plan.Cost()
 	r.migrated += int64(r.phaseMoved)
-	r.stageMoves(plan.Moves)
-
-	if r.phaseMoved < r.cfg.parallelApplyMin() {
-		// Leader-only apply: per the phase-cost model (DESIGN.md §9) a
-		// small plan cannot amortize the extra sub-barrier crossings, so
-		// the leader applies it alone, move by move in plan order, and
-		// grows every domain's exchange buffer itself (no first-touch
-		// care for plans this small).
-		for _, dom := range r.doms {
-			r.ensureXbuf(dom)
-		}
-		for i := range r.moves {
-			mv := &r.moves[i]
-			r.takeMove(mv)
-			r.pushMove(mv)
-		}
-		r.moves = r.moves[:0]
-		r.finishPhase()
-		return
+	for _, m := range plan.Moves {
+		r.doms[m.From].migrated += int64(m.Count)
+		r.pushMove(m.To, r.takeMove(m))
 	}
-	r.waveEnds = partitionInWaves(r.moves, r.loads, r.avail, r.pend, r.waveEnds)
-	r.waves += int64(len(r.waveEnds))
+	r.finishPhase()
 }
 
 // finishPhase closes the system phase: Theorem 1 at domain granularity
 // — after a planned phase the domain totals sit within one task of the
 // domain quota — and conservation are invariant-checked on every real
 // phase, the adaptive detector folds in the phase's yield, and the
-// stop-the-world time is charged. It runs as the leader callback of the
-// last sub-barrier (or inline from beginPhase when no waves were fanned
-// out).
-//
-//ripslint:hotpath
+// stop-the-world time is charged. beginPhase calls it on every path
+// that did not abort the run.
 func (r *engineRun) finishPhase() {
 	if total := r.phaseTotal; total > 0 {
-		av := r.avail // scratch; wave partition and offsets are done with it
-		for i := range av {
-			av[i] = 0
+		for i := range r.after {
+			r.after[i] = 0
 		}
 		for _, w := range r.workers {
-			av[w.dom] += int(w.d.size())
+			r.after[w.dom] += int(w.d.size())
 		}
-		after := 0
-		for d, x := range av {
-			after += x
+		sum := 0
+		for d, x := range r.after {
+			sum += x
 			invariant.BalancedWithinOne(x, total, r.nd, d, "par: system phase")
 		}
-		invariant.Conserved(total, after, "par: system phase")
+		invariant.Conserved(total, sum, "par: system phase")
 	}
 	r.det.update(r.phaseMoved, r.nd)
 	r.sysTime += time.Since(r.phaseStart)
@@ -792,148 +702,39 @@ func BalancedCanonical(loads []int, total int) bool {
 	return true
 }
 
-// stageMoves turns the plan into applyMoves with disjoint exchange
-// regions: each move parks its tasks in the source domain's xbuf at a
-// unique offset. It records the per-domain export volume. avail doubles
-// as per-domain offset scratch here; it is re-derived before the wave
-// partition and the balance check.
-func (r *engineRun) stageMoves(moves []sched.Move) {
-	off := r.avail
-	for i := range off {
-		off[i] = 0
-	}
-	for _, m := range moves {
-		r.moves = append(r.moves, applyMove{from: m.From, to: m.To, count: m.Count, off: off[m.From]}) //ripslint:allow hotpath r.moves retains its capacity across phases; growth amortizes to zero
-		off[m.From] += m.Count
-		r.doms[m.From].migrated += int64(m.Count)
-	}
-	for d, dom := range r.doms {
-		dom.xneed = off[d]
-	}
-}
-
-// ensureXbuf sizes the domain's exchange buffer for the phase. On the
-// parallel path it runs on the domain leader's pinned thread, so a
-// grown buffer is first-touched on the domain's own node.
-func (r *engineRun) ensureXbuf(dom *engineDomain) {
-	if cap(dom.xbuf) < dom.xneed {
-		dom.xbuf = make([]*node, dom.xneed) //ripslint:allow hotpath exchange buffers grow to the high-water mark once, then are reused every phase
-	} else {
-		dom.xbuf = dom.xbuf[:dom.xneed]
-	}
-}
-
-// partitionInWaves partitions moves into contiguous-prefix two-phase
-// waves over loads: within a wave every take is satisfiable from the
-// wave-start loads, so all takes may run concurrently before any push.
-// It reuses avail/pend as scratch and appends the wave end indices to
-// waveEnds (whose backing array amortizes across phases). Because the
-// plan is sequentially feasible, the first move after a wave boundary
-// is always satisfiable, so every wave makes progress and the wave
-// count is bounded by the plan's forwarding depth (at most the
-// topology diameter).
-func partitionInWaves(moves []applyMove, loads, avail, pend []int, waveEnds []int) []int {
-	copy(avail, loads)
-	for i := range pend {
-		pend[i] = 0
-	}
-	for i := range moves {
-		mv := &moves[i]
-		if avail[mv.from] < mv.count {
-			// mv forwards tasks still in flight: close the wave (its
-			// pushes land at the boundary) and retry in the next one.
-			waveEnds = append(waveEnds, i) //ripslint:allow hotpath waveEnds retains its capacity across phases; growth amortizes to zero
-			for n := range pend {
-				avail[n] += pend[n]
-				pend[n] = 0
-			}
-			if avail[mv.from] < mv.count {
-				invariant.Violated("par: move %d->%d x%d infeasible at a wave boundary: plan not sequentially feasible",
-					mv.from, mv.to, mv.count)
-			}
-		}
-		avail[mv.from] -= mv.count
-		pend[mv.to] += mv.count
-	}
-	return append(waveEnds, len(moves)) //ripslint:allow hotpath waveEnds retains its capacity across phases; growth amortizes to zero
-}
-
-// waveBounds returns the [lo, hi) move-index range of wave wv.
-func waveBounds(waveEnds []int, wv int) (int, int) {
-	lo := 0
-	if wv > 0 {
-		lo = waveEnds[wv-1]
-	}
-	return lo, waveEnds[wv]
-}
-
-// applyTake is the take half of one wave from w's perspective: only
-// the domain leader acts, extracting every move its domain sources
-// into the domain's exchange buffer. Only it touches the domain's
-// deques and buffer here, so all domains' takes run concurrently, and
-// quiescence at the barrier makes the bulk deque takes safe without CAS
-// traffic.
-func (r *engineRun) applyTake(w *engineWorker, wv int) {
-	dom := r.doms[w.dom]
-	if w.id != dom.lo {
-		return
-	}
-	r.ensureXbuf(dom)
-	lo, hi := waveBounds(r.waveEnds, wv)
-	for i := lo; i < hi; i++ {
-		if mv := &r.moves[i]; mv.from == dom.id {
-			r.takeMove(mv)
-		}
-	}
-}
-
-// applyPush is the push half: the destination domain's leader lands
-// every move its domain receives. The exchange sub-barrier ordered all
-// takes before any push, so the source regions are stable.
-func (r *engineRun) applyPush(w *engineWorker, wv int) {
-	dom := r.doms[w.dom]
-	if w.id != dom.lo {
-		return
-	}
-	lo, hi := waveBounds(r.waveEnds, wv)
-	for i := lo; i < hi; i++ {
-		if mv := &r.moves[i]; mv.to == dom.id {
-			r.pushMove(mv)
-		}
-	}
-}
-
 // takeMove extracts one move's tasks from the source domain's deques
-// into its exchange region, always from the end the owners do not
+// into the run's scratch, always from the end the owners do not
 // execute from. A domain of stealing workers gives up the tops, swept
 // in worker order: the oldest, typically largest subtrees, exactly the
 // tasks a thief would have exported. A fifo worker gives up its bottom:
 // that forwards tasks which arrived in this same phase first and keeps
 // resident tasks home (the locality preference of Theorem 2).
-func (r *engineRun) takeMove(mv *applyMove) {
-	dom := r.doms[mv.from]
-	seg := dom.xbuf[mv.off : mv.off+mv.count]
+func (r *engineRun) takeMove(m sched.Move) []*node {
+	if cap(r.xfer) < m.Count {
+		r.xfer = make([]*node, m.Count) //ripslint:allow hotpath the scratch grows to the largest single move once, then every move of every phase reuses it (TestSteadyStateZeroAlloc pins it)
+	}
+	seg := r.xfer[:m.Count]
+	dom := r.doms[m.From]
 	got := 0
 	if w := r.workers[dom.lo]; w.fifo {
 		got = w.d.takeBottomInto(seg)
 	} else {
-		for i := dom.lo; i < dom.hi && got < mv.count; i++ {
+		for i := dom.lo; i < dom.hi && got < m.Count; i++ {
 			got += r.workers[i].d.takeTopInto(seg[got:])
 		}
 	}
-	mv.got = got
-	if got != mv.count {
-		invariant.Violated("par: domain %d short %d tasks for migration", mv.from, mv.count-got)
+	if got != m.Count {
+		invariant.Violated("par: domain %d short %d tasks for migration", m.From, m.Count-got)
 	}
+	return seg[:got]
 }
 
-// pushMove lands one move's tasks on the destination domain's deques,
-// an even share per worker in one bulk push each, and clears the
-// exchange region so task pointers are not retained across the next
+// pushMove lands the tasks takeMove extracted on the destination
+// domain's deques, an even share per worker in one bulk push each, and
+// clears the scratch so task pointers are not retained across the next
 // user phase.
-func (r *engineRun) pushMove(mv *applyMove) {
-	seg := r.doms[mv.from].xbuf[mv.off : mv.off+mv.got]
-	dst := r.doms[mv.to]
+func (r *engineRun) pushMove(to int, seg []*node) {
+	dst := r.doms[to]
 	n := dst.size()
 	for i := 0; i < n; i++ {
 		r.workers[dst.lo+i].d.push(seg[len(seg)*i/n : len(seg)*(i+1)/n]...)

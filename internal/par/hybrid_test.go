@@ -38,25 +38,27 @@ func twoNodes() []affinity.Domain {
 func TestHybridPolicies(t *testing.T) {
 	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
 		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := mustRun(t, Config{
-				Topo:        topo.NewMesh(2, 2),
-				App:         queens8(),
-				Strategy:    Hybrid,
-				Domains:     2,
-				Local:       local,
-				Global:      global,
-				TracePhases: true,
-			})
+			cfg := Config{
+				Topo:     topo.NewMesh(2, 2),
+				App:      queens8(),
+				Strategy: Hybrid,
+				Domains:  2,
+				Local:    local,
+				Global:   global,
+			}
+			trace := tracePhases(&cfg)
+			res := mustRun(t, cfg)
+			totals := *trace
 			label := "hybrid " + global.String() + "-" + local.String()
 			checkQueens8(t, res, label)
 			if res.Domains != 2 {
 				t.Errorf("%s: Domains = %d, want 2", label, res.Domains)
 			}
-			if res.Phases == 0 {
-				t.Errorf("%s: no system phases ran", label)
+			if res.Phases == 0 || len(totals) != int(res.Phases) {
+				t.Fatalf("%s: %d system phases, %d reported to OnPhase", label, res.Phases, len(totals))
 			}
-			if res.PhaseTotals[len(res.PhaseTotals)-1] != 0 {
-				t.Errorf("%s: final phase total %d, want 0 (termination)", label, res.PhaseTotals[len(res.PhaseTotals)-1])
+			if totals[len(totals)-1] != 0 {
+				t.Errorf("%s: final phase total %d, want 0 (termination)", label, totals[len(totals)-1])
 			}
 			if res.CrossSteals != 0 {
 				t.Errorf("%s: %d cross-domain steals; hybrid stealing must stay in-domain", label, res.CrossSteals)
@@ -181,9 +183,8 @@ func TestHybridSingleDomainDegenerates(t *testing.T) {
 	if res.Domains != 1 {
 		t.Fatalf("Domains = %d, want 1", res.Domains)
 	}
-	if res.Migrated != 0 || res.Waves != 0 {
-		t.Errorf("single domain migrated %d tasks in %d waves; nothing should be planned",
-			res.Migrated, res.Waves)
+	if res.Migrated != 0 {
+		t.Errorf("single domain migrated %d tasks; nothing should be planned", res.Migrated)
 	}
 	if res.Phases == 0 {
 		t.Error("no system phases ran; round detection still needs them")

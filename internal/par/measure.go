@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -12,19 +11,18 @@ import (
 // system phase under a controlled, maximally skewed load: even workers
 // hold 2*tasksPerWorker synthetic tasks, odd workers none, so every
 // phase plans and applies a heavy migration. It drives the real phase
-// protocol (epoch barrier, planner, waved or serial apply) for the
-// given number of phases and returns the mean phase time plus the
-// number of parallel-apply waves fanned out (0 when serial).
+// protocol (epoch barrier, planner, leader apply) for the given number
+// of phases and returns the mean phase time.
 //
 // This is the measurement behind bench's par.system_phase_us layer
 // metric and mirrors BenchmarkSystemPhase: unlike a full app run it
 // cannot under-measure on few cores, where a fast worker drains a
 // small workload before any unbalanced phase fires.
+//
+// serial is ignored and the second result is always zero: there is one
+// way to apply a plan. Both stay only because bench/ compiles against them.
 func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.Duration, int64) {
-	cfg := Config{Topo: topo.SquarishMesh(workers), ParallelApplyMin: -1}
-	if serial {
-		cfg.ParallelApplyMin = math.MaxInt
-	}
+	cfg := Config{Topo: topo.SquarishMesh(workers)}
 	r := newEngineRun(&cfg)
 	load := syntheticTasks(2 * tasksPerWorker)
 	if phases < 1 {
@@ -34,7 +32,7 @@ func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.
 		r.fillSkewed(load)
 		r.phaseOnce()
 	}
-	return r.sysTime / time.Duration(phases), r.waves
+	return r.sysTime / time.Duration(phases), 0
 }
 
 // syntheticTasks returns n distinct empty tasks. A system phase moves

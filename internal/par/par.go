@@ -102,13 +102,6 @@ func (s Strategy) String() string {
 // falls (see detector.go).
 const DefaultDetectInterval = 100 * time.Microsecond
 
-// DefaultParallelApplyMin is the minimum plan cost (tasks moved by one
-// system phase) at which the leader fans plan application out to every
-// worker instead of applying it alone. Below it, the two extra barrier
-// crossings per wave cost more than the saved copying; above it, the
-// per-edge task copies run on all P cores concurrently.
-const DefaultParallelApplyMin = 256
-
 // Config describes one real-parallel run.
 type Config struct {
 	// Topo is the virtual machine the workers are pinned to; its Size
@@ -149,17 +142,6 @@ type Config struct {
 	// does. Ignored by Steal: a barrier moves nothing there, so a
 	// drained thief waits for work or for the last worker to drain.
 	DetectInterval time.Duration
-	// ParallelApplyMin is the minimum plan cost (tasks migrated by one
-	// system phase) at which the leader fans plan application out to
-	// all workers in two-phase waves instead of applying the moves
-	// alone. Zero means DefaultParallelApplyMin; negative fans out
-	// every plan (stress/benchmark use); math.MaxInt keeps every plan
-	// with the leader. The computed answer is identical either way.
-	ParallelApplyMin int
-	// TracePhases records the full per-phase task-total trace in
-	// Result.PhaseTotals. Off by default so long runs keep only the
-	// bounded count/sum/max summary and stop growing memory per phase.
-	TracePhases bool
 	// Seed feeds the steal strategy's per-worker victim RNGs. The
 	// answer never depends on it; only steal order does.
 	Seed int64
@@ -180,17 +162,6 @@ type Config struct {
 	OnPhase func(metrics.PhaseInfo)
 }
 
-func (c *Config) parallelApplyMin() int {
-	switch {
-	case c.ParallelApplyMin < 0:
-		return 0
-	case c.ParallelApplyMin == 0:
-		return DefaultParallelApplyMin
-	default:
-		return c.ParallelApplyMin
-	}
-}
-
 func (c *Config) validate() error {
 	if c.Topo == nil {
 		return fmt.Errorf("par: Config.Topo is required")
@@ -209,22 +180,19 @@ func (c *Config) validate() error {
 		if c.Domains > 0 {
 			return fmt.Errorf("par: Domains applies to the Hybrid and Steal strategies, not RIPS")
 		}
-		switch c.Topo.(type) {
-		case *topo.Mesh, *topo.Tree, *topo.Hypercube:
-		default:
-			return fmt.Errorf("par: no system-phase planner for %s", c.Topo.Name())
-		}
-	case Hybrid:
-		switch c.Topo.(type) {
-		case *topo.Mesh, *topo.Tree, *topo.Hypercube:
-		default:
-			return fmt.Errorf("par: no system-phase planner for %s", c.Topo.Name())
-		}
-	case Steal:
+	case Hybrid, Steal:
 	default:
 		return fmt.Errorf("par: unknown strategy %d", int(c.Strategy))
 	}
-	return nil
+	if c.Strategy == Steal {
+		return nil // plans nothing: any topology, only its size is used
+	}
+	switch c.Topo.(type) {
+	case *topo.Mesh, *topo.Tree, *topo.Hypercube:
+		return nil
+	default:
+		return fmt.Errorf("par: no system-phase planner for %s", c.Topo.Name())
+	}
 }
 
 func (c *Config) detectInterval() time.Duration {
@@ -280,19 +248,16 @@ type Result struct {
 	// additionally nil under Steal, which has no migrations.
 	DomainSteals   []int64
 	DomainMigrated []int64
-	// Phases is the number of RIPS system phases (0 under Steal), and
-	// Waves the number of parallel-apply waves those phases fanned out
-	// (0 when every plan was applied serially by the leader).
-	Phases, Waves int64
+	// Phases is the number of RIPS system phases (0 under Steal).
+	Phases int64
+	// Waves is always zero: the leader applies every plan. The field
+	// stays only because bench/ reads it.
+	Waves int64
 	// PhaseSum and PhaseMax summarize the global task totals observed
 	// by the system phases (sum over phases, and the largest single
-	// snapshot) without retaining a per-phase trace.
+	// snapshot); Config.OnPhase sees every phase's total.
 	PhaseSum int64
 	PhaseMax int
-	// PhaseTotals is the full global task-total trace, one entry per
-	// system phase in order. Recorded only under Config.TracePhases;
-	// nil otherwise (and always nil under Steal).
-	PhaseTotals []int
 	// VirtualWork is the summed virtual time reported by Execute — it
 	// must equal the sequential profile's Work for any worker count,
 	// which cross-validation tests assert.

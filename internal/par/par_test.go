@@ -41,32 +41,44 @@ func checkQueens8(t *testing.T, res Result, label string) {
 	}
 }
 
+// tracePhases sets cfg.OnPhase to a hook that appends every system
+// phase's task total to the returned trace. The hook runs with the
+// world stopped, one phase at a time, and the end of the run orders the
+// caller's reads after the last append.
+func tracePhases(cfg *Config) *[]int {
+	totals := new([]int)
+	cfg.OnPhase = func(pi metrics.PhaseInfo) { *totals = append(*totals, pi.Tasks) }
+	return totals
+}
+
 // TestRIPSPolicies runs every Local x Global combination over a real
 // mesh and checks the answer never depends on the policy.
 func TestRIPSPolicies(t *testing.T) {
 	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
 		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := mustRun(t, Config{
-				Topo:        topo.NewMesh(2, 2),
-				App:         queens8(),
-				Local:       local,
-				Global:      global,
-				TracePhases: true,
-			})
+			cfg := Config{
+				Topo:   topo.NewMesh(2, 2),
+				App:    queens8(),
+				Local:  local,
+				Global: global,
+			}
+			trace := tracePhases(&cfg)
+			res := mustRun(t, cfg)
+			totals := *trace
 			label := "RIPS " + global.String() + "-" + local.String()
 			checkQueens8(t, res, label)
 			if res.Phases == 0 {
 				t.Errorf("%s: no system phases ran", label)
 			}
-			if len(res.PhaseTotals) != int(res.Phases) {
-				t.Errorf("%s: %d phase totals for %d phases", label, len(res.PhaseTotals), res.Phases)
+			if len(totals) != int(res.Phases) {
+				t.Fatalf("%s: %d phase totals for %d phases", label, len(totals), res.Phases)
 			}
-			if res.PhaseTotals[len(res.PhaseTotals)-1] != 0 {
-				t.Errorf("%s: final phase total %d, want 0 (termination)", label, res.PhaseTotals[len(res.PhaseTotals)-1])
+			if totals[len(totals)-1] != 0 {
+				t.Errorf("%s: final phase total %d, want 0 (termination)", label, totals[len(totals)-1])
 			}
 			var sum int64
 			max := 0
-			for _, v := range res.PhaseTotals {
+			for _, v := range totals {
 				sum += int64(v)
 				if v > max {
 					max = v
@@ -82,17 +94,15 @@ func TestRIPSPolicies(t *testing.T) {
 
 // TestRIPSResultContract pins what a RIPS run looks like from outside
 // now that it is the engine at one-worker domains: nothing domain- or
-// steal-shaped is reported, OnPhase fires once per system phase, and the
-// trace has one entry per phase.
+// steal-shaped is reported and OnPhase fires once per system phase.
 func TestRIPSResultContract(t *testing.T) {
 	ida := puzzle.Configs()[0] // 9 rounds: every round boundary is a phase
 	want := measure(t, ida)
 	var hooked atomic.Int64
 	res := mustRun(t, Config{
-		Topo:        topo.NewMesh(2, 2),
-		App:         ida,
-		TracePhases: true,
-		OnPhase:     func(metrics.PhaseInfo) { hooked.Add(1) },
+		Topo:    topo.NewMesh(2, 2),
+		App:     ida,
+		OnPhase: func(metrics.PhaseInfo) { hooked.Add(1) },
 	})
 	checkPar(t, "rips", res, want)
 	if res.Domains != 0 || res.Steals != 0 || res.CrossSteals != 0 || res.DomainSteals != nil || res.DomainMigrated != nil {
@@ -104,9 +114,6 @@ func TestRIPSResultContract(t *testing.T) {
 	}
 	if n := hooked.Load(); n != res.Phases {
 		t.Errorf("OnPhase called %d times for %d phases", n, res.Phases)
-	}
-	if len(res.PhaseTotals) != int(res.Phases) {
-		t.Errorf("%d phase totals traced for %d phases", len(res.PhaseTotals), res.Phases)
 	}
 }
 

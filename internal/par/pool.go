@@ -16,13 +16,12 @@ var (
 	ErrPoolClosed = errors.New("par: pool is closed")
 	// ErrLeaseReleased reports an operation on a sub-pool after Release.
 	ErrLeaseReleased = errors.New("par: sub-pool is released")
-	// ErrInsufficientWorkers reports a Split or Resize asking for more
-	// workers than the root's free set holds. The refusal is immediate —
+	// ErrInsufficientWorkers reports a Split asking for more workers
+	// than the root's free set holds. The refusal is immediate —
 	// leasing never blocks on capacity — and leaves every lease
 	// unchanged.
 	ErrInsufficientWorkers = errors.New("par: insufficient free workers")
-	// ErrBadLeaseSize reports a Split or Resize asking for fewer than
-	// one worker.
+	// ErrBadLeaseSize reports a Split asking for fewer than one worker.
 	ErrBadLeaseSize = errors.New("par: sub-pool needs at least one worker")
 )
 
@@ -69,8 +68,7 @@ type poolJob struct {
 // (from NewPool) owns the worker goroutines; Split leases disjoint
 // subsets of them out as sub-pools, and runs on distinct sub-pools
 // execute concurrently — the multi-tenant serving configuration, where
-// one machine's cores are carved up among simultaneous jobs. Resize
-// grows or shrinks a lease against the root's free set, and Release
+// one machine's cores are carved up among simultaneous jobs. Release
 // returns the lease.
 //
 // Run on the root pool acquires every worker — waiting for outstanding
@@ -97,8 +95,8 @@ type Pool struct {
 	nd    int
 
 	// Root: guards free and closed; cond signals workers returning to
-	// the free set. Sub-pool: serializes Run, Resize and Release, so a
-	// lease cannot change shape mid-run.
+	// the free set. Sub-pool: serializes Run and Release, so a lease
+	// cannot be returned mid-run.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	free   []int // root only: worker indices not leased and not running
@@ -165,7 +163,7 @@ func (p *Pool) Domains() int {
 }
 
 // Workers returns the pool's worker count: the resident total on a
-// root pool, the current lease size on a sub-pool.
+// root pool, the lease size on a sub-pool.
 func (p *Pool) Workers() int {
 	if p.root == nil {
 		return len(p.ids)
@@ -209,42 +207,6 @@ func (p *Pool) Split(n int) (*Pool, error) {
 		return nil, err
 	}
 	return &Pool{root: p, ids: ids}, nil
-}
-
-// Resize grows or shrinks a sub-pool's lease to n workers, taking
-// from (or returning to) the root's free set. Like Split it never
-// blocks on capacity: growing beyond the free set is an error and the
-// lease is unchanged. Resize waits for a run in flight on this
-// sub-pool, so a lease never changes shape mid-run.
-func (p *Pool) Resize(n int) error {
-	if p.root == nil {
-		return fmt.Errorf("par: Resize on the root pool; resize sub-pool leases instead")
-	}
-	if n < 1 {
-		return fmt.Errorf("%w, got %d", ErrBadLeaseSize, n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrLeaseReleased
-	}
-	switch {
-	case n == len(p.ids):
-		return nil
-	case n < len(p.ids):
-		p.root.putBack(p.ids[n:])
-		p.ids = p.ids[:n:n]
-		return nil
-	default:
-		p.root.mu.Lock()
-		defer p.root.mu.Unlock()
-		extra, err := p.root.takeLocked(n - len(p.ids))
-		if err != nil {
-			return err
-		}
-		p.ids = append(p.ids, extra...)
-		return nil
-	}
 }
 
 // Release returns a sub-pool's workers to the root's free set and

@@ -339,58 +339,6 @@ func TestSplitCapacity(t *testing.T) {
 		!strings.Contains(err.Error(), "released") {
 		t.Errorf("run on released lease err = %v, want released error", err)
 	}
-	if err := sub.Resize(2); err == nil || !strings.Contains(err.Error(), "released") {
-		t.Errorf("Resize on released lease err = %v, want released error", err)
-	}
-}
-
-// TestSubPoolResize grows and shrinks a lease against the free set.
-func TestSubPoolResize(t *testing.T) {
-	pool, err := NewPool(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	sub, err := pool.Split(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Release()
-
-	if err := pool.Resize(2); err == nil || !strings.Contains(err.Error(), "root") {
-		t.Errorf("Resize on root err = %v, want refusal", err)
-	}
-	if err := sub.Resize(4); err != nil {
-		t.Fatalf("grow to 4: %v", err)
-	}
-	if got := pool.Free(); got != 0 {
-		t.Errorf("Free() after grow = %d, want 0", got)
-	}
-	res, err := sub.Run(Config{Topo: topo.NewMesh(2, 2), App: queens8()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkQueens8(t, res, "grown lease")
-
-	if err := sub.Resize(1); err != nil {
-		t.Fatalf("shrink to 1: %v", err)
-	}
-	if got := pool.Free(); got != 3 {
-		t.Errorf("Free() after shrink = %d, want 3", got)
-	}
-	if err := sub.Resize(5); err == nil || !strings.Contains(err.Error(), "free") {
-		t.Errorf("grow beyond free err = %v, want capacity error", err)
-	}
-	if got := sub.Workers(); got != 1 {
-		t.Errorf("failed grow changed the lease: Workers() = %d, want 1", got)
-	}
-	res, err = sub.Run(Config{Topo: topo.NewMesh(1, 1), App: queens8()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AppResult != 92 {
-		t.Errorf("1-worker lease AppResult = %d, want 92", res.AppResult)
-	}
 }
 
 // TestRootRunWaitsForLeases checks a root Run needs the whole machine:

@@ -106,7 +106,7 @@ func (a *recycleApp) Execute(data any, emit func(app.Spawn)) sim.Time {
 
 // TestRecycleExactlyOnce runs recycleApp under every strategy that
 // shapes a node's life differently — Steal (thieves machine-wide, no
-// phases), Hybrid on two domains (thieves and exchange buffers), RIPS
+// phases), Hybrid on two domains (thieves and planned moves), RIPS
 // Eager (children listed across tasks, bulk takes from the bottom) —
 // with inline and with Data payloads, and requires every task of every
 // round to have executed exactly once. Run it with -cpu 1,2,4, under
@@ -153,7 +153,7 @@ func TestRecycleExactlyOnce(t *testing.T) {
 // TestRecycleReleasesPayload: a node at rest pins nothing of the
 // application's. Every Data payload of a finished run must be
 // collectable while the run — its workers, their free lists, the deque
-// rings and exchange buffers with whatever stale pointers they hold —
+// rings and the phase scratch with whatever stale pointers they hold —
 // is still reachable.
 func TestRecycleReleasesPayload(t *testing.T) {
 	for _, cfg := range []Config{

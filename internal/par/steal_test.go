@@ -25,24 +25,23 @@ func TestStealResultContract(t *testing.T) {
 	for _, domains := range []int{0, 2, 3} {
 		var hooked atomic.Int64
 		res := mustRun(t, Config{
-			Topo:        topo.NewMesh(2, 2),
-			App:         ida,
-			Strategy:    Steal,
-			Domains:     domains,
-			Local:       ripsrt.Eager, // ignored
-			Global:      ripsrt.All,   // ignored
-			TracePhases: true,         // nothing to trace
-			Seed:        int64(domains),
-			OnPhase:     func(metrics.PhaseInfo) { hooked.Add(1) },
+			Topo:     topo.NewMesh(2, 2),
+			App:      ida,
+			Strategy: Steal,
+			Domains:  domains,
+			Local:    ripsrt.Eager, // ignored
+			Global:   ripsrt.All,   // ignored
+			Seed:     int64(domains),
+			OnPhase:  func(metrics.PhaseInfo) { hooked.Add(1) },
 		})
 		checkPar(t, "steal", res, want)
-		if res.Phases != 0 || res.Waves != 0 || res.Migrated != 0 || res.Overhead != 0 {
-			t.Errorf("domains=%d: Phases=%d Waves=%d Migrated=%d Overhead=%v, want all zero",
-				domains, res.Phases, res.Waves, res.Migrated, res.Overhead)
+		if res.Phases != 0 || res.Migrated != 0 || res.Overhead != 0 {
+			t.Errorf("domains=%d: Phases=%d Migrated=%d Overhead=%v, want all zero",
+				domains, res.Phases, res.Migrated, res.Overhead)
 		}
-		if res.PhaseSum != 0 || res.PhaseMax != 0 || res.PhaseTotals != nil || res.DomainMigrated != nil {
-			t.Errorf("domains=%d: phase summary %d/%d/%v, DomainMigrated %v; want none",
-				domains, res.PhaseSum, res.PhaseMax, res.PhaseTotals, res.DomainMigrated)
+		if res.PhaseSum != 0 || res.PhaseMax != 0 || res.DomainMigrated != nil {
+			t.Errorf("domains=%d: phase summary %d/%d, DomainMigrated %v; want none",
+				domains, res.PhaseSum, res.PhaseMax, res.DomainMigrated)
 		}
 		if n := hooked.Load(); n != 0 {
 			t.Errorf("domains=%d: OnPhase called %d times under Steal", domains, n)

@@ -18,7 +18,7 @@ func TestCancelReturnsPartialResult(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
 	res, err := Run(Config{
-		Mesh:   topo.NewMesh(2, 2),
+		Topo:   topo.NewMesh(2, 2),
 		App:    nqueens.New(10, 3),
 		Cancel: cancel,
 	})
@@ -39,7 +39,7 @@ func TestCancelUnusedCompletes(t *testing.T) {
 	cancel := make(chan struct{})
 	defer close(cancel)
 	res, err := Run(Config{
-		Mesh:   topo.NewMesh(2, 2),
+		Topo:   topo.NewMesh(2, 2),
 		App:    nqueens.New(8, 3),
 		Cancel: cancel,
 	})
@@ -60,7 +60,7 @@ func TestCancelUnusedCompletes(t *testing.T) {
 func TestOnPhaseStreamsEveryPhase(t *testing.T) {
 	var seen []metrics.PhaseInfo
 	res, err := Run(Config{
-		Mesh: topo.NewMesh(2, 2),
+		Topo: topo.NewMesh(2, 2),
 		App:  nqueens.New(8, 3),
 		OnPhase: func(pi metrics.PhaseInfo) {
 			seen = append(seen, pi)

@@ -80,40 +80,28 @@ func (d Detector) String() string {
 	return "signal"
 }
 
-// Costs models the CPU cost of runtime bookkeeping, charged as system
-// overhead on the node clocks.
-type Costs struct {
-	// PerPhase is the fixed per-node cost of one phase transfer.
-	PerPhase sim.Time
-	// PerElem is the cost of processing one vector element in the
-	// system phase's scheduling arithmetic.
-	PerElem sim.Time
-	// PerTask is the cost of packing or unpacking one migrated task.
-	PerTask sim.Time
-	// PerEnqueue is the cost of enqueuing one newly generated task.
-	PerEnqueue sim.Time
-}
-
-// DefaultCosts returns constants calibrated to mid-90s MPP software
+// The CPU cost of runtime bookkeeping, charged as system overhead on
+// the node clocks: constants calibrated to mid-90s MPP software
 // overheads (the paper reports ~1 ms per migration step and ~0.5 s
 // total overhead for a 10 s run).
-func DefaultCosts() Costs {
-	return Costs{
-		PerPhase:   50 * sim.Microsecond,
-		PerElem:    200 * sim.Nanosecond,
-		PerTask:    2 * sim.Microsecond,
-		PerEnqueue: 1 * sim.Microsecond,
-	}
-}
+const (
+	// costPerPhase is the fixed per-node cost of one phase transfer.
+	costPerPhase = 50 * sim.Microsecond
+	// costPerElem is the cost of processing one vector element in the
+	// system phase's scheduling arithmetic.
+	costPerElem = 200 * sim.Nanosecond
+	// costPerTask is the cost of packing or unpacking one migrated task.
+	costPerTask = 2 * sim.Microsecond
+	// costPerEnqueue is the cost of enqueuing one newly generated task.
+	costPerEnqueue = 1 * sim.Microsecond
+)
 
 // Config describes a RIPS run.
 type Config struct {
-	// Mesh is the machine shape (the paper's Paragon mesh).
-	Mesh *topo.Mesh
-	// Topo, when set, selects a non-mesh machine: RIPS also runs on
-	// binary trees (Tree Walking Algorithm system phases) and
-	// hypercubes (incremental Dimension Exchange) — the topologies the
-	// paper's companion work [32] covers. Mutually exclusive with Mesh.
+	// Topo is the machine: the paper's Paragon mesh (MWA system
+	// phases), or a binary tree (Tree Walking Algorithm) or hypercube
+	// (incremental Dimension Exchange) — the topologies the paper's
+	// companion work [32] covers.
 	Topo topo.Topology
 	// App is the workload.
 	App app.App
@@ -131,11 +119,9 @@ type Config struct {
 	ExactCube bool
 	// Eureka models hardware or-barrier support for the ANY policy
 	// (the Cray T3D eureka mode the paper cites): the initiator's init
-	// signal reaches every node after EurekaLatency at unit cost,
+	// signal reaches every node after eurekaLatency at unit cost,
 	// instead of relaying through a software broadcast tree.
 	Eureka bool
-	// EurekaLatency is the hardware signal latency (default 10us).
-	EurekaLatency sim.Time
 	// InitBackoff throttles the ANY policy: a drained node waits this
 	// long (plus a small id-proportional jitter, so one node initiates
 	// rather than all of them) before broadcasting init. Without it,
@@ -145,8 +131,6 @@ type Config struct {
 	InitBackoff sim.Time
 	// Latency prices messages; zero value means sim.DefaultLatency().
 	Latency *sim.LatencyModel
-	// Costs models runtime CPU overheads; zero value means defaults.
-	Costs *Costs
 	// Seed feeds the (rarely needed) node RNGs.
 	Seed int64
 	// MaxEvents optionally caps simulator events (safety net).
@@ -166,18 +150,12 @@ type Config struct {
 }
 
 func (c *Config) validate() error {
-	if c.Mesh == nil && c.Topo == nil {
-		return fmt.Errorf("ripsrt: one of Config.Mesh or Config.Topo is required")
-	}
-	if c.Mesh != nil && c.Topo != nil {
-		return fmt.Errorf("ripsrt: Config.Mesh and Config.Topo are mutually exclusive")
-	}
-	if c.Topo != nil {
-		switch c.Topo.(type) {
-		case *topo.Mesh, *topo.Tree, *topo.Hypercube:
-		default:
-			return fmt.Errorf("ripsrt: no system-phase scheduler for %s", c.Topo.Name())
-		}
+	switch c.Topo.(type) {
+	case nil:
+		return fmt.Errorf("ripsrt: Config.Topo is required")
+	case *topo.Mesh, *topo.Tree, *topo.Hypercube:
+	default:
+		return fmt.Errorf("ripsrt: no system-phase scheduler for %s", c.Topo.Name())
 	}
 	if c.App == nil {
 		return fmt.Errorf("ripsrt: Config.App is nil")
@@ -186,14 +164,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("ripsrt: periodic detector requires a positive Period")
 	}
 	return nil
-}
-
-// machineTopo resolves the configured machine.
-func (c *Config) machineTopo() topo.Topology {
-	if c.Topo != nil {
-		return c.Topo
-	}
-	return c.Mesh
 }
 
 func (c *Config) latency() sim.LatencyModel {
@@ -207,16 +177,9 @@ func (c *Config) latency() sim.LatencyModel {
 // Config.InitBackoff is zero.
 const DefaultInitBackoff = sim.Millisecond
 
-// DefaultEurekaLatency is the hardware or-barrier signal latency used
-// when Config.EurekaLatency is zero.
-const DefaultEurekaLatency = 10 * sim.Microsecond
-
-func (c *Config) eurekaLatency() sim.Time {
-	if c.EurekaLatency > 0 {
-		return c.EurekaLatency
-	}
-	return DefaultEurekaLatency
-}
+// eurekaLatency is the hardware or-barrier signal latency of
+// Config.Eureka.
+const eurekaLatency = 10 * sim.Microsecond
 
 func (c *Config) initBackoff() sim.Time {
 	switch {
@@ -227,13 +190,6 @@ func (c *Config) initBackoff() sim.Time {
 	default:
 		return c.InitBackoff
 	}
-}
-
-func (c *Config) costs() Costs {
-	if c.Costs != nil {
-		return *c.Costs
-	}
-	return DefaultCosts()
 }
 
 // PolicyName returns e.g. "any-lazy" — the paper's policy naming.

@@ -25,7 +25,7 @@ func newCubeSched(h *topo.Hypercube, id int) *cubeSched {
 // phase runs one total-count butterfly plus one full DEM sweep.
 func (cs *cubeSched) phase(st *nodeState) int {
 	n := st.n
-	st.overhead(st.costs.PerPhase)
+	st.overhead(costPerPhase)
 	st.rts.PushAll(st.rte.Drain())
 	w := st.rts.Len()
 	st.ownTaken = 0

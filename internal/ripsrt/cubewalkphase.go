@@ -27,7 +27,7 @@ func newCubeWalkSched(h *topo.Hypercube, id int) *cubeWalkSched {
 func (cs *cubeWalkSched) phase(st *nodeState) int {
 	n := st.n
 	d := cs.cube.Dim()
-	st.overhead(st.costs.PerPhase)
+	st.overhead(costPerPhase)
 	st.rts.PushAll(st.rte.Drain())
 	w := st.rts.Len()
 	st.ownTaken = 0
@@ -70,7 +70,7 @@ func (cs *cubeWalkSched) phase(st *nodeState) int {
 		f := halfSum
 		sending := f > 0
 		if f == 0 {
-			st.overhead(st.costs.PerElem * 4)
+			st.overhead(costPerElem * 4)
 			continue
 		}
 		if sending {
@@ -109,7 +109,7 @@ func (cs *cubeWalkSched) phase(st *nodeState) int {
 			st.acceptTasks(hm.tasks)
 			cur += len(hm.tasks)
 		}
-		st.overhead(st.costs.PerElem * 8)
+		st.overhead(costPerElem * 8)
 	}
 
 	// Theorem 1 (exact quota), bookkeeping conservation, and Theorem 2

@@ -67,7 +67,7 @@ func TestRunWithInvariantsForcedOn(t *testing.T) {
 	defer restore()
 
 	cfg := Config{
-		Mesh:   topo.NewMesh(4, 4),
+		Topo:   topo.NewMesh(4, 4),
 		App:    chaosApp{seed: 11, maxDepth: 4, roots: 4},
 		Local:  Eager,
 		Global: All,

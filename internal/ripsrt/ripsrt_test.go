@@ -42,14 +42,13 @@ func TestSystemPhaseMatchesPureMWA(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfg := Config{Mesh: mesh, App: dummyApp{}}
+			cfg := Config{Topo: mesh, App: dummyApp{}}
 			final := make([]int, mesh.Size())
 			totals := make([]int, mesh.Size())
 			sr, err := sim.Run(sim.Config{Topo: mesh, Latency: sim.DefaultLatency(), Seed: 3}, func(n *sim.Node) {
 				st := &nodeState{
 					n:     n,
 					cfg:   &cfg,
-					costs: cfg.costs(),
 					sched: newMeshSched(mesh, n.ID()),
 					comm:  &collective.Comm{Node: n, TagBase: tagColl},
 				}
@@ -84,9 +83,9 @@ func TestSystemPhaseMatchesPureMWA(t *testing.T) {
 func TestSystemPhaseLocality(t *testing.T) {
 	mesh := topo.NewMesh(4, 4)
 	w := []int{32, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	cfg := Config{Mesh: mesh, App: dummyApp{}}
+	cfg := Config{Topo: mesh, App: dummyApp{}}
 	sr, err := sim.Run(sim.Config{Topo: mesh, Seed: 1}, func(n *sim.Node) {
-		st := &nodeState{n: n, cfg: &cfg, costs: cfg.costs(),
+		st := &nodeState{n: n, cfg: &cfg,
 			sched: newMeshSched(mesh, n.ID()),
 			comm:  &collective.Comm{Node: n, TagBase: tagColl}}
 		for k := 0; k < w[n.ID()]; k++ {
@@ -119,7 +118,7 @@ func TestSystemPhaseLocality(t *testing.T) {
 
 func queensCfg(mesh *topo.Mesh, local LocalPolicy, global GlobalPolicy) Config {
 	return Config{
-		Mesh:   mesh,
+		Topo:   mesh,
 		App:    nqueens.New(10, 3),
 		Local:  local,
 		Global: global,
@@ -209,7 +208,7 @@ func (twoRound) Execute(data any, emit func(app.Spawn)) sim.Time {
 }
 
 func TestMultiRoundApp(t *testing.T) {
-	cfg := Config{Mesh: topo.NewMesh(2, 2), App: twoRound{}}
+	cfg := Config{Topo: topo.NewMesh(2, 2), App: twoRound{}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +226,7 @@ func TestMultiRoundApp(t *testing.T) {
 func TestEmptyApp(t *testing.T) {
 	// An app with zero tasks must terminate after one zero-total phase
 	// per round.
-	cfg := Config{Mesh: topo.NewMesh(2, 2), App: dummyApp{}}
+	cfg := Config{Topo: topo.NewMesh(2, 2), App: dummyApp{}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +240,10 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{App: dummyApp{}}); err == nil {
 		t.Error("nil mesh accepted")
 	}
-	if _, err := Run(Config{Mesh: topo.NewMesh(2, 2)}); err == nil {
+	if _, err := Run(Config{Topo: topo.NewMesh(2, 2)}); err == nil {
 		t.Error("nil app accepted")
 	}
-	bad := Config{Mesh: topo.NewMesh(2, 2), App: dummyApp{}, Detector: Periodic}
+	bad := Config{Topo: topo.NewMesh(2, 2), App: dummyApp{}, Detector: Periodic}
 	if _, err := Run(bad); err == nil {
 		t.Error("periodic detector without period accepted")
 	}

@@ -61,7 +61,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	simCfg := sim.Config{
-		Topo:      cfg.machineTopo(),
+		Topo:      cfg.Topo,
 		Latency:   cfg.latency(),
 		Seed:      cfg.Seed,
 		MaxEvents: cfg.MaxEvents,
@@ -94,11 +94,11 @@ func Run(cfg Config) (Result, error) {
 			res.VirtualWork += st.Busy
 			idle += st.Idle + (sr.End - st.Finish)
 		}
-		n := sim.Time(cfg.machineTopo().Size())
+		n := sim.Time(cfg.Topo.Size())
 		res.Overhead, res.Idle = oh/n, idle/n
 		return res, err
 	}
-	n := int64(cfg.machineTopo().Size())
+	n := int64(cfg.Topo.Size())
 	var oh, idle sim.Time
 	for _, st := range sr.Nodes {
 		oh += st.Overhead
@@ -128,7 +128,6 @@ func Run(cfg Config) (Result, error) {
 type nodeState struct {
 	n     *sim.Node
 	cfg   *Config
-	costs Costs
 	sched phaseScheduler
 	rte   task.Queue  // ready to execute
 	rts   task.Queue  // ready to schedule (eager) / staging (system phase)
@@ -155,8 +154,7 @@ func nodeMain(n *sim.Node, cfg *Config, phaseTotals *[]int) {
 	st := &nodeState{
 		n:     n,
 		cfg:   cfg,
-		costs: cfg.costs(),
-		sched: newPhaseScheduler(cfg.machineTopo(), n.ID(), cfg.ExactCube),
+		sched: newPhaseScheduler(cfg.Topo, n.ID(), cfg.ExactCube),
 		comm:  &collective.Comm{Node: n, TagBase: tagColl},
 	}
 	st.nextCheck = cfg.Period
@@ -214,7 +212,7 @@ func (st *nodeState) loadRoots(round int) {
 		st.rts.PushBack(task.Task{ID: st.newID(), Origin: st.n.ID(), Size: sp.Size, Data: sp.Payload()})
 	}
 	st.n.Count(CounterGenerated, int64(hi-lo))
-	st.overhead(sim.Time(hi-lo) * st.costs.PerEnqueue)
+	st.overhead(sim.Time(hi-lo) * costPerEnqueue)
 }
 
 // execute runs one task and files its children per the local policy.
@@ -233,7 +231,7 @@ func (st *nodeState) execute(tk task.Task) {
 	}
 	n.Compute(work)
 	if len(children) > 0 {
-		st.overhead(sim.Time(len(children)) * st.costs.PerEnqueue)
+		st.overhead(sim.Time(len(children)) * costPerEnqueue)
 		n.Count(CounterGenerated, int64(len(children)))
 		if st.cfg.Local == Eager {
 			st.rts.PushAll(children)
@@ -245,7 +243,7 @@ func (st *nodeState) execute(tk task.Task) {
 
 // userPhase dispatches on the configured detector and global policy.
 func (st *nodeState) userPhase() {
-	st.overhead(st.costs.PerPhase)
+	st.overhead(costPerPhase)
 	switch {
 	case st.cfg.Detector == Periodic:
 		st.userPhasePeriodic()
@@ -296,7 +294,7 @@ func (st *nodeState) userPhaseAny() {
 				return // someone else initiated this phase (relayed above)
 			}
 		}
-		st.overhead(st.costs.PerPhase)
+		st.overhead(costPerPhase)
 		st.relayInit(initMsg{phase: st.phase, root: n.ID()})
 		return
 	}
@@ -328,7 +326,7 @@ func (st *nodeState) relayInit(im initMsg) {
 		// Hardware or-barrier: only the initiator signals; there is
 		// nothing to relay.
 		if im.root == n.ID() {
-			n.Broadcast(tagInit, im, 16, st.cfg.eurekaLatency())
+			n.Broadcast(tagInit, im, 16, eurekaLatency)
 		}
 		return
 	}
@@ -445,7 +443,7 @@ func (st *nodeState) runCheck() bool {
 	if st.rte.Empty() {
 		ready = 1
 	}
-	st.overhead(st.costs.PerElem * 8)
+	st.overhead(costPerElem * 8)
 	if st.cfg.Global == All {
 		return st.comm.AllReduce(ready, collective.Sum) == int64(st.n.N())
 	}

@@ -61,7 +61,7 @@ func (ms *meshSched) phase(st *nodeState) int {
 	mesh := ms.mesh
 	n1, n2 := mesh.Rows(), mesh.Cols()
 	i, j := ms.i, ms.j
-	st.overhead(st.costs.PerPhase)
+	st.overhead(costPerPhase)
 
 	// All tasks become schedulable: leftover RTE tasks are re-scheduled
 	// together with the newly generated ones (paper Section 2).
@@ -84,7 +84,7 @@ func (ms *meshSched) phase(st *nodeState) int {
 	if j < n2-1 {
 		n.SendTag(mesh.ID(i, j+1), tagScanW, scanWMsg{w: wvec}, 8*len(wvec)+8)
 	}
-	st.overhead(st.costs.PerElem * sim.Time(len(wvec)))
+	st.overhead(costPerElem * sim.Time(len(wvec)))
 
 	// Step 2: rightmost column computes row sums s_i and the
 	// scan-with-sum t_i; node (n1-1, n2-1) derives wavg and R and
@@ -138,7 +138,7 @@ func (ms *meshSched) phase(st *nodeState) int {
 	if i > 0 {
 		x = tPrev - ms.rowQuota(i-1, bc)
 	}
-	st.overhead(st.costs.PerElem * sim.Time(j+1))
+	st.overhead(costPerElem * sim.Time(j+1))
 
 	// Step 4: vertical balancing. Downward direction first (receive
 	// from above, then send down), then upward — mirroring the pure
@@ -181,7 +181,7 @@ func (ms *meshSched) phase(st *nodeState) int {
 		z += wvec[k] - qrow[k]
 	}
 	v := z + wvec[j] - qrow[j]
-	st.overhead(st.costs.PerElem * sim.Time(j+1))
+	st.overhead(costPerElem * sim.Time(j+1))
 	if z > 0 {
 		hm := n.RecvFrom(mesh.ID(i, j-1), tagRight).Data.(horzMsg)
 		st.acceptTasks(hm.tasks)
@@ -239,7 +239,7 @@ func (st *nodeState) exportVector(wvec, qrow []int, y int) []int {
 		gamma -= delta - d[k]
 		eta -= d[k]
 	}
-	st.overhead(st.costs.PerElem * sim.Time(len(wvec)))
+	st.overhead(costPerElem * sim.Time(len(wvec)))
 	return d
 }
 
@@ -265,12 +265,12 @@ func (st *nodeState) takeTasks(count int) []task.Task {
 		out = append(out, own...)
 	}
 	st.n.Count(CounterMigrated, int64(len(out)))
-	st.overhead(st.costs.PerTask * sim.Time(len(out)))
+	st.overhead(costPerTask * sim.Time(len(out)))
 	return out
 }
 
 // acceptTasks files tasks received during the system phase.
 func (st *nodeState) acceptTasks(ts []task.Task) {
 	st.inbox = append(st.inbox, ts...)
-	st.overhead(st.costs.PerTask * sim.Time(len(ts)))
+	st.overhead(costPerTask * sim.Time(len(ts)))
 }

@@ -25,7 +25,6 @@ func phaseOn(t *testing.T, machine topo.Topology, w []int) ([]int, int64) {
 		st := &nodeState{
 			n:     n,
 			cfg:   &cfg,
-			costs: cfg.costs(),
 			sched: newPhaseScheduler(machine, n.ID(), false),
 			comm:  &collective.Comm{Node: n, TagBase: tagColl},
 		}
@@ -129,28 +128,12 @@ func TestRIPSOnAllTopologies(t *testing.T) {
 	}
 }
 
-// TestMeshViaTopoField: passing a mesh through Topo behaves like Mesh.
-func TestMeshViaTopoField(t *testing.T) {
-	a := nqueens.New(9, 3)
-	viaMesh, err := Run(Config{Mesh: topo.NewMesh(2, 4), App: a, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTopo, err := Run(Config{Topo: topo.NewMesh(2, 4), App: a, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaMesh.Time != viaTopo.Time || viaMesh.Nonlocal != viaTopo.Nonlocal {
-		t.Errorf("Mesh and Topo configs diverge: %+v vs %+v", viaMesh, viaTopo)
-	}
-}
-
 func TestTopoValidation(t *testing.T) {
 	if _, err := Run(Config{Topo: topo.NewRing(4), App: dummyApp{}}); err == nil {
 		t.Error("unsupported topology accepted")
 	}
-	if _, err := Run(Config{Mesh: topo.NewMesh(2, 2), Topo: topo.NewTree(4), App: dummyApp{}}); err == nil {
-		t.Error("both Mesh and Topo accepted")
+	if _, err := Run(Config{App: dummyApp{}}); err == nil {
+		t.Error("missing topology accepted")
 	}
 }
 
@@ -180,11 +163,11 @@ func TestCubeBalanceWithinDimension(t *testing.T) {
 func TestEurekaPolicy(t *testing.T) {
 	a := nqueens.New(10, 3)
 	profile := app.Measure(a)
-	soft, err := Run(Config{Mesh: topo.NewMesh(4, 4), App: a, Seed: 2})
+	soft, err := Run(Config{Topo: topo.NewMesh(4, 4), App: a, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Run(Config{Mesh: topo.NewMesh(4, 4), App: a, Seed: 2, Eureka: true})
+	hard, err := Run(Config{Topo: topo.NewMesh(4, 4), App: a, Seed: 2, Eureka: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +202,6 @@ func TestCubeWalkPhaseMatchesPureCWA(t *testing.T) {
 				st := &nodeState{
 					n:     n,
 					cfg:   &cfg,
-					costs: cfg.costs(),
 					sched: newPhaseScheduler(cube, n.ID(), true),
 					comm:  &collective.Comm{Node: n, TagBase: tagColl},
 				}

@@ -65,7 +65,7 @@ func (ts *treeSched) subQuota(v int, bc bcastMsg) int {
 // phase runs one Tree Walking Algorithm round.
 func (ts *treeSched) phase(st *nodeState) int {
 	n := st.n
-	st.overhead(st.costs.PerPhase)
+	st.overhead(costPerPhase)
 	st.rts.PushAll(st.rte.Drain())
 	w := st.rts.Len()
 	st.ownTaken = 0
@@ -91,7 +91,7 @@ func (ts *treeSched) phase(st *nodeState) int {
 	for _, c := range ts.children {
 		n.SendTag(c, tagSpread, bc, 24)
 	}
-	st.overhead(st.costs.PerElem * sim.Time(len(ts.children)+1))
+	st.overhead(costPerElem * sim.Time(len(ts.children)+1))
 
 	st.phase++
 	if bc.total == 0 {

@@ -17,8 +17,7 @@ import (
 // the root's workers out as sub-pools; runs on distinct sub-pools
 // execute concurrently, which is how the multi-tenant ripsd frontend
 // (internal/serve + internal/tenant) runs several small jobs on one
-// machine at once. Resize grows or shrinks a lease, Release returns
-// it.
+// machine at once. Release returns a lease.
 //
 // The Simulate backend ignores Config.Pool: simulated nodes are
 // goroutines of the virtual-time engine, not pool workers.
@@ -35,12 +34,11 @@ var (
 	ErrPoolClosed = par.ErrPoolClosed
 	// ErrLeaseReleased reports an operation on a sub-pool after Release.
 	ErrLeaseReleased = par.ErrLeaseReleased
-	// ErrInsufficientWorkers reports a Split or Resize asking for more
-	// workers than the root pool's free set holds; the lease is
-	// unchanged and nothing blocks.
+	// ErrInsufficientWorkers reports a Split asking for more workers
+	// than the root pool's free set holds; no lease changes and nothing
+	// blocks.
 	ErrInsufficientWorkers = par.ErrInsufficientWorkers
-	// ErrBadLeaseSize reports a Split or Resize asking for fewer than
-	// one worker.
+	// ErrBadLeaseSize reports a Split asking for fewer than one worker.
 	ErrBadLeaseSize = par.ErrBadLeaseSize
 )
 
@@ -79,7 +77,7 @@ func NewPoolDomains(workers, domains int) (*Pool, error) {
 func (p *Pool) Domains() int { return p.p.Domains() }
 
 // Workers returns the pool's worker count: the resident total on a
-// root pool, the current lease size on a sub-pool.
+// root pool, the lease size on a sub-pool.
 func (p *Pool) Workers() int { return p.p.Workers() }
 
 // Free returns how many of a root pool's workers are currently
@@ -99,12 +97,6 @@ func (p *Pool) Split(n int) (*Pool, error) {
 	}
 	return &Pool{p: sub}, nil
 }
-
-// Resize grows or shrinks a sub-pool's lease to n workers against the
-// root's free set, waiting for any run in flight on the lease first.
-// Growing beyond the free set is an error and leaves the lease
-// unchanged.
-func (p *Pool) Resize(n int) error { return p.p.Resize(n) }
 
 // Release returns a sub-pool's workers to the root's free set and
 // marks the lease unusable, waiting for any run in flight on it.

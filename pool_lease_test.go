@@ -1,6 +1,7 @@
 package rips_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -63,12 +64,11 @@ func TestPoolDomains(t *testing.T) {
 
 // TestPoolLeaseEdgeCases pins the sub-pool leasing contract at its
 // boundaries through the public API: a zero- or negative-size Split is
-// ErrBadLeaseSize, over-capacity Split and Resize are
-// ErrInsufficientWorkers and leave every lease unchanged, a released
-// lease refuses Resize with ErrLeaseReleased, double Release is a
-// no-op, and a closed root refuses Split with ErrPoolClosed. Each
-// refusal is checked with errors.Is — the errors are typed API, not
-// message text.
+// ErrBadLeaseSize, an over-capacity Split is ErrInsufficientWorkers
+// and leaves every lease unchanged, a released lease refuses a run,
+// double Release is a no-op, and a closed root refuses Split with
+// ErrPoolClosed. Each Split refusal is checked with errors.Is — the
+// errors are typed API, not message text.
 func TestPoolLeaseEdgeCases(t *testing.T) {
 	pool, err := rips.NewPool(4)
 	if err != nil {
@@ -100,30 +100,25 @@ func TestPoolLeaseEdgeCases(t *testing.T) {
 		t.Fatalf("free = %d with a 2-lease out, want 2", free)
 	}
 
-	// Resize beyond the free set: refused, lease unchanged.
-	if err := sub.Resize(5); !errors.Is(err, rips.ErrInsufficientWorkers) {
-		t.Errorf("Resize(5) = %v, want ErrInsufficientWorkers", err)
+	// A second lease beyond the free set: refused, first lease unchanged.
+	if _, err := pool.Split(3); !errors.Is(err, rips.ErrInsufficientWorkers) {
+		t.Errorf("Split(3) with 2 free = %v, want ErrInsufficientWorkers", err)
 	}
 	if got := sub.Workers(); got != 2 {
-		t.Errorf("lease changed shape after refused Resize: %d workers, want 2", got)
-	}
-	if err := sub.Resize(0); !errors.Is(err, rips.ErrBadLeaseSize) {
-		t.Errorf("Resize(0) = %v, want ErrBadLeaseSize", err)
+		t.Errorf("lease changed shape after a refused Split: %d workers, want 2", got)
 	}
 
-	// Growing to exactly the free set succeeds; shrinking returns the
-	// surplus to the root.
-	if err := sub.Resize(4); err != nil {
-		t.Fatalf("Resize(4): %v", err)
+	// A lease of exactly the free set succeeds and empties it.
+	rest, err := pool.Split(2)
+	if err != nil {
+		t.Fatalf("Split(2) of the remaining free set: %v", err)
 	}
 	if free := pool.Free(); free != 0 {
 		t.Errorf("free = %d with the whole pool leased, want 0", free)
 	}
-	if err := sub.Resize(1); err != nil {
-		t.Fatalf("Resize(1): %v", err)
-	}
-	if free := pool.Free(); free != 3 {
-		t.Errorf("free = %d after shrinking to 1, want 3", free)
+	rest.Release()
+	if free := pool.Free(); free != 2 {
+		t.Errorf("free = %d after releasing the second lease, want 2", free)
 	}
 
 	// Double Release: idempotent; the workers come back exactly once.
@@ -135,8 +130,8 @@ func TestPoolLeaseEdgeCases(t *testing.T) {
 	if free := pool.Free(); free != 4 {
 		t.Fatalf("free = %d after double Release, want 4 (workers returned twice?)", free)
 	}
-	if err := sub.Resize(2); !errors.Is(err, rips.ErrLeaseReleased) {
-		t.Errorf("Resize on a released lease = %v, want ErrLeaseReleased", err)
+	if _, err := rips.RunContext(context.Background(), rips.NQueens(6), rips.Config{Procs: 2, Backend: rips.Parallel, Pool: sub}); err == nil {
+		t.Error("run on a released lease succeeded, want a refusal")
 	}
 
 	pool.Close()
@@ -145,7 +140,7 @@ func TestPoolLeaseEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPoolLeaseConcurrent hammers Split/Resize/Release from many
+// TestPoolLeaseConcurrent hammers Split/Release from many
 // goroutines and checks the capacity invariant the arbiter depends on:
 // leased + free == workers at every quiescent point, no lease is ever
 // granted beyond capacity, and after every lease is released the full
@@ -184,28 +179,12 @@ func TestPoolLeaseConcurrent(t *testing.T) {
 				}
 				mu.Unlock()
 
-				size := n
-				if rng.Intn(2) == 0 {
-					grown := size + 1
-					if err := sub.Resize(grown); err == nil {
-						mu.Lock()
-						leased++
-						size = grown
-						if leased > workers {
-							t.Errorf("leases total %d workers after Resize, capacity is %d", leased, workers)
-						}
-						mu.Unlock()
-					} else if !errors.Is(err, rips.ErrInsufficientWorkers) {
-						t.Errorf("Resize(%d): %v", grown, err)
-					}
-				}
-
 				sub.Release()
 				if rng.Intn(4) == 0 {
 					sub.Release() // double release must stay a no-op under contention
 				}
 				mu.Lock()
-				leased -= size
+				leased -= n
 				mu.Unlock()
 			}
 		}(int64(g))
