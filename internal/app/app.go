@@ -46,7 +46,8 @@ type Spawn struct {
 // Payload returns what Execute receives for this spawn: Data, or a
 // pointer to a fresh copy of W when Data is nil. Every executor that
 // stores its tasks as task.Task calls it once per task born; the
-// real-parallel engine keeps the words in its own task node instead.
+// real-parallel engine — the cluster member runs on it too — keeps the
+// words in its own task node instead.
 func (s Spawn) Payload() any {
 	if s.Data != nil {
 		return s.Data
@@ -119,6 +120,23 @@ type PayloadCodec interface {
 	// DecodePayload decodes one payload produced by AppendPayload.
 	// Truncated or malformed input is an error, never a panic.
 	DecodePayload(p []byte) (any, error)
+	// DecodeInto is DecodePayload for a receiver that owns the storage:
+	// it accepts exactly the inputs DecodePayload accepts and writes the
+	// inline words DecodePayload would have boxed into w, so a task
+	// arriving off the wire lands in the executor's own task node without
+	// an allocation. w is untouched on error.
+	DecodeInto(p []byte, w *Words) error
+}
+
+// DecodeBoxed is DecodePayload on top of a codec's DecodeInto: the same
+// checks, the words in a box of their own. The built-in codecs implement
+// DecodePayload with it, so each has one decoder.
+func DecodeBoxed(c PayloadCodec, p []byte) (any, error) {
+	w := new(Words)
+	if err := c.DecodeInto(p, w); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // WireSerializable reports whether a's task payloads can cross a

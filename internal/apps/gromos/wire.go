@@ -21,14 +21,17 @@ func (a *App) AppendPayload(dst []byte, data any) ([]byte, error) {
 }
 
 // DecodePayload implements app.PayloadCodec.
-func (a *App) DecodePayload(p []byte) (any, error) {
+func (a *App) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(a, p) }
+
+// DecodeInto implements app.PayloadCodec.
+func (a *App) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != 4 {
-		return nil, fmt.Errorf("gromos: payload is %d bytes, want 4", len(p))
+		return fmt.Errorf("gromos: payload is %d bytes, want 4", len(p))
 	}
 	g := int32(binary.BigEndian.Uint32(p))
 	if g < 0 || g >= NumGroups {
-		return nil, fmt.Errorf("gromos: charge-group index %d out of range [0, %d)", g, NumGroups)
+		return fmt.Errorf("gromos: charge-group index %d out of range [0, %d)", g, NumGroups)
 	}
-	w := pack(g)
-	return &w, nil
+	*w = pack(g)
+	return nil
 }

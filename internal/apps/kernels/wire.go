@@ -25,16 +25,19 @@ func (g *Gauss) AppendPayload(dst []byte, data any) ([]byte, error) {
 }
 
 // DecodePayload implements app.PayloadCodec for Gauss.
-func (g *Gauss) DecodePayload(p []byte) (any, error) {
+func (g *Gauss) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(g, p) }
+
+// DecodeInto implements app.PayloadCodec for Gauss.
+func (g *Gauss) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != 12 {
-		return nil, fmt.Errorf("kernels: gauss payload is %d bytes, want 12", len(p))
+		return fmt.Errorf("kernels: gauss payload is %d bytes, want 12", len(p))
 	}
-	w := gaussTask{
+	*w = gaussTask{
 		k:  int32(binary.BigEndian.Uint32(p[0:4])),
 		lo: int32(binary.BigEndian.Uint32(p[4:8])),
 		hi: int32(binary.BigEndian.Uint32(p[8:12])),
 	}.pack()
-	return &w, nil
+	return nil
 }
 
 // AppendPayload implements app.PayloadCodec for FFT.
@@ -47,12 +50,15 @@ func (f *FFT) AppendPayload(dst []byte, data any) ([]byte, error) {
 }
 
 // DecodePayload implements app.PayloadCodec for FFT.
-func (f *FFT) DecodePayload(p []byte) (any, error) {
+func (f *FFT) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(f, p) }
+
+// DecodeInto implements app.PayloadCodec for FFT.
+func (f *FFT) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != 4 {
-		return nil, fmt.Errorf("kernels: fft payload is %d bytes, want 4", len(p))
+		return fmt.Errorf("kernels: fft payload is %d bytes, want 4", len(p))
 	}
-	w := fftTask{count: int32(binary.BigEndian.Uint32(p))}.pack()
-	return &w, nil
+	*w = fftTask{count: int32(binary.BigEndian.Uint32(p))}.pack()
+	return nil
 }
 
 // AppendPayload implements app.PayloadCodec for Multigrid.
@@ -72,18 +78,21 @@ func (m *Multigrid) AppendPayload(dst []byte, data any) ([]byte, error) {
 }
 
 // DecodePayload implements app.PayloadCodec for Multigrid.
-func (m *Multigrid) DecodePayload(p []byte) (any, error) {
+func (m *Multigrid) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(m, p) }
+
+// DecodeInto implements app.PayloadCodec for Multigrid.
+func (m *Multigrid) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != 13 {
-		return nil, fmt.Errorf("kernels: multigrid payload is %d bytes, want 13", len(p))
+		return fmt.Errorf("kernels: multigrid payload is %d bytes, want 13", len(p))
 	}
 	if p[12] > 1 {
-		return nil, fmt.Errorf("kernels: multigrid child flag %d is not a bool", p[12])
+		return fmt.Errorf("kernels: multigrid child flag %d is not a bool", p[12])
 	}
-	w := mgTask{
+	*w = mgTask{
 		side:  int32(binary.BigEndian.Uint32(p[0:4])),
 		lo:    int32(binary.BigEndian.Uint32(p[4:8])),
 		rows:  int32(binary.BigEndian.Uint32(p[8:12])),
 		child: p[12] == 1,
 	}.pack()
-	return &w, nil
+	return nil
 }

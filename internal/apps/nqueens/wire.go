@@ -27,15 +27,18 @@ func (a *App) AppendPayload(dst []byte, data any) ([]byte, error) {
 }
 
 // DecodePayload implements app.PayloadCodec.
-func (a *App) DecodePayload(p []byte) (any, error) {
+func (a *App) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(a, p) }
+
+// DecodeInto implements app.PayloadCodec.
+func (a *App) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != payloadSize {
-		return nil, fmt.Errorf("nqueens: payload is %d bytes, want %d", len(p), payloadSize)
+		return fmt.Errorf("nqueens: payload is %d bytes, want %d", len(p), payloadSize)
 	}
-	w := state{
+	*w = state{
 		Row:  int8(p[0]),
 		Cols: binary.BigEndian.Uint32(p[1:5]),
 		LD:   binary.BigEndian.Uint32(p[5:9]),
 		RD:   binary.BigEndian.Uint32(p[9:13]),
 	}.pack()
-	return &w, nil
+	return nil
 }

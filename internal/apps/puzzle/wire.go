@@ -30,18 +30,21 @@ func (a *App) AppendPayload(dst []byte, data any) ([]byte, error) {
 }
 
 // DecodePayload implements app.PayloadCodec.
-func (a *App) DecodePayload(p []byte) (any, error) {
+func (a *App) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(a, p) }
+
+// DecodeInto implements app.PayloadCodec.
+func (a *App) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != payloadSize {
-		return nil, fmt.Errorf("puzzle: payload is %d bytes, want %d", len(p), payloadSize)
+		return fmt.Errorf("puzzle: payload is %d bytes, want %d", len(p), payloadSize)
 	}
 	b := Board{cells: binary.BigEndian.Uint64(p[0:8]), blank: int8(p[8]), width: int8(p[9])}
 	if b.width < 2 || b.width > 4 {
-		return nil, fmt.Errorf("puzzle: decoded board width %d out of range", b.width)
+		return fmt.Errorf("puzzle: decoded board width %d out of range", b.width)
 	}
-	w := pack(b,
+	*w = pack(b,
 		int16(binary.BigEndian.Uint16(p[10:12])), // g
 		int16(binary.BigEndian.Uint16(p[12:14])), // h
 		int8(p[14]),                              // prev
 		int16(binary.BigEndian.Uint16(p[15:17]))) // bound
-	return &w, nil
+	return nil
 }

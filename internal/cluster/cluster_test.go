@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -133,7 +134,7 @@ func (a *slowApp) BlockDistributed() bool { return true }
 func (a *slowApp) Roots(int) []app.Spawn {
 	roots := make([]app.Spawn, a.tasks)
 	for i := range roots {
-		roots[i] = app.Spawn{Data: int32(i), Size: 4}
+		roots[i] = app.Spawn{W: app.Words{A: uint64(i)}, Size: 4}
 	}
 	return roots
 }
@@ -145,17 +146,19 @@ func (a *slowApp) ExecuteCount(data any, emit func(app.Spawn)) (sim.Time, int64)
 	return a.Execute(data, emit), 1
 }
 func (a *slowApp) AppendPayload(dst []byte, data any) ([]byte, error) {
-	i, ok := data.(int32)
+	w, ok := data.(*app.Words)
 	if !ok {
 		return nil, fmt.Errorf("slow: payload %T", data)
 	}
-	return append(dst, byte(i>>24), byte(i>>16), byte(i>>8), byte(i)), nil
+	return binary.BigEndian.AppendUint32(dst, uint32(w.A)), nil
 }
-func (a *slowApp) DecodePayload(p []byte) (any, error) {
+func (a *slowApp) DecodePayload(p []byte) (any, error) { return app.DecodeBoxed(a, p) }
+func (a *slowApp) DecodeInto(p []byte, w *app.Words) error {
 	if len(p) != 4 {
-		return nil, fmt.Errorf("slow: payload is %d bytes", len(p))
+		return fmt.Errorf("slow: payload is %d bytes", len(p))
 	}
-	return int32(p[0])<<24 | int32(p[1])<<16 | int32(p[2])<<8 | int32(p[3]), nil
+	*w = app.Words{A: uint64(binary.BigEndian.Uint32(p))}
+	return nil
 }
 
 // TestClusterNodeDeathMidJob kills a node while a job is running and

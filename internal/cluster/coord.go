@@ -129,7 +129,7 @@ func (c *coordRun) recruit(ctx context.Context, spec rips.JobSpec, cfgBytes []by
 		if err != nil {
 			return i
 		}
-		p := newPeer(conn, c.n.opts.HeartbeatInterval, c.n.opts.HeartbeatTimeout)
+		p := newPeer(conn, c.n.opts.HeartbeatInterval, c.n.opts.HeartbeatTimeout, nil)
 		c.peers[i] = p
 		att := attachMsg{Job: c.job, App: spec.App, Size: spec.Size, K: len(c.members), Member: i, Config: cfgBytes}
 		if err := p.send(fAttach, att.encode()); err != nil {
@@ -300,8 +300,9 @@ func (c *coordRun) planAndMove(ctx context.Context) int {
 }
 
 // move executes one planned transfer: fTake to the source, its fBatch
-// relayed as fPut to the destination, the destination's fPutOK closing
-// the loop. Tasks therefore move exactly once and never silently.
+// relayed as fPut to the destination — the same bytes, counted but not
+// decoded — and the destination's fPutOK closing the loop. Tasks
+// therefore move exactly once and never silently.
 func (c *coordRun) move(ctx context.Context, from, to, count int) int {
 	if err := c.peers[from].send(fTake, takeMsg{Job: c.job, To: to, Count: count}.encode()); err != nil {
 		return from
@@ -310,7 +311,7 @@ func (c *coordRun) move(ctx context.Context, from, to, count int) int {
 	if lost != -1 {
 		return lost
 	}
-	bm, err := decodeBatch(batch)
+	moved, err := batchCount(batch)
 	if err != nil {
 		return from
 	}
@@ -325,7 +326,7 @@ func (c *coordRun) move(ctx context.Context, from, to, count int) int {
 	if err != nil {
 		return to
 	}
-	c.loads[from] -= len(bm.Tasks)
+	c.loads[from] -= moved
 	c.loads[to] = am.Load
 	return -1
 }

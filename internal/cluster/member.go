@@ -1,155 +1,154 @@
-//ripslint:allow-file wallclock a member measures its real busy time by design and backs off its drain announcements in real time; which tasks it runs is decided solely by the coordinator's planner
 package cluster
 
 import (
+	"errors"
 	"net"
-	"runtime"
 	"time"
 
 	"rips/internal/app"
-	"rips/internal/sim"
-	"rips/internal/task"
+	"rips/internal/par"
 )
 
-// memberSession serves one job on this node: an executor for the
-// node's slice of the task pool, obeying the coordinator's phase
-// protocol on the connection that recruited it. It runs entirely on
-// one goroutine — the queue needs no lock because only this loop
-// touches it, and the peer's reader keeps frames (and the heartbeat
-// deadline) flowing while a task executes.
+// memberSession serves one job on this node. The executor is the phase
+// engine of internal/par in member mode, one worker wide until a node
+// leases its members their workers from a pool: it runs the node's share
+// of the task pool at the engine's cost per task, and at every system
+// phase hands its stopped world to exchange below, which is this file —
+// the coordinator's protocol on the connection that recruited the member,
+// and nothing that pops, executes or spawns a task.
 func (n *Node) memberSession(conn net.Conn, payload []byte) {
-	att, err := decodeAttach(payload)
+	m, err := n.newMember(payload)
 	if err != nil {
 		_ = writeFrame(conn, fError, encodeError(err.Error()))
 		return
 	}
-	a, err := n.opts.Resolver(att.App, att.Size)
-	if err != nil {
-		_ = writeFrame(conn, fError, encodeError(err.Error()))
-		return
-	}
-	codec, ok := a.(app.PayloadCodec)
-	if !ok {
-		_ = writeFrame(conn, fError, encodeError("cluster: app tasks are not wire-serializable"))
-		return
-	}
-	p := newPeer(conn, n.opts.HeartbeatInterval, n.opts.HeartbeatTimeout)
-	defer p.close()
-	m := &memberRun{n: n, p: p, job: att.Job, app: a, codec: codec, k: att.K, idx: att.Member}
-	m.run()
+	m.serve(conn)
 }
 
+// memberRun is the protocol state of one member session.
 type memberRun struct {
 	n     *Node
 	p     *peer
 	job   uint64
-	app   app.App
 	codec app.PayloadCodec
-	k     int // job width
-	idx   int // this member's index
-	q     task.Queue
-	seq   uint64
-	emit  func(app.Spawn) // m.spawn, bound once by run: no closure per task
+	run   *par.MemberRun
 
-	generated, executed, nonlocal, appResult int64
-	vwork                                    sim.Time
-	start                                    time.Time // anchor of the busy-time clock readings, set by run
-	busy                                     time.Duration
-	yielded                                  time.Duration // busy at the last yield
+	attached bool // the first exchange has reported ATTACH-OK
+	finished bool // the coordinator said FINISH: the counters are due
+	// idle counts this member's consecutive DRAINED announcements that
+	// brought it no work; the next one waits backoff(idle) first. Only
+	// the coordinator's answer to the member's own announcement advances
+	// it: a phase some other member's drain caused — one that interrupts
+	// the wait included — says nothing about how starved the job is, and
+	// counting those too parks an idle member in its longest waits while
+	// work is still being spread (measured: IDA* #1 in 13 phases instead
+	// of 22, +17 % wall).
+	idle int
+	// batch is the encode buffer of every TAKE, kept at its high-water
+	// mark; give is appendTask bound once, so serving a TAKE allocates
+	// nothing.
+	batch []byte
+	give  func(id uint64, origin int, payload any) error
 }
 
-// yieldSlice is how long a member executes tasks between yields of
-// its processor (see execute).
-const yieldSlice = 100 * time.Microsecond
-
-// spawn queues one task born on this member: a staged root, or a
-// child emitted by a task it executes.
-func (m *memberRun) spawn(sp app.Spawn) {
-	m.q.PushBack(task.Task{ID: m.newID(), Origin: m.idx, Size: sp.Size, Data: sp.Payload()})
-	m.generated++
+// newMember decodes an attach request and builds the member's engine
+// run; nothing runs yet.
+func (n *Node) newMember(payload []byte) (*memberRun, error) {
+	att, err := decodeAttach(payload)
+	if err != nil {
+		return nil, err
+	}
+	a, err := n.opts.Resolver(att.App, att.Size)
+	if err != nil {
+		return nil, err
+	}
+	codec, ok := a.(app.PayloadCodec)
+	if !ok {
+		return nil, errors.New("cluster: app tasks are not wire-serializable")
+	}
+	m := &memberRun{n: n, job: att.Job, codec: codec}
+	m.give = m.appendTask
+	m.run, err = par.NewMemberRun(a, 1, par.Member{Index: att.Member, Width: att.K, Exchange: m.exchange})
+	return m, err
 }
 
-// newID mints a task ID unique across the job: member index in the
-// high bits, a local sequence below — the same packing the in-process
-// runtimes use per worker.
-func (m *memberRun) newID() uint64 {
-	m.seq++
-	return uint64(m.idx)<<40 | m.seq
-}
-
-// stage loads this member's share of a round's roots:
-// block-distributed apps get their block, everything else starts on
-// member 0 and lets the first system phase spread it.
-func (m *memberRun) stage(round int) {
-	roots := m.app.Roots(round)
-	lo, hi := 0, len(roots)
-	if app.RootsDistributed(m.app) {
-		lo, hi = app.RootBlock(len(roots), m.k, m.idx)
-	} else if m.idx != 0 {
-		lo, hi = 0, 0
-	}
-	for _, sp := range roots[lo:hi] {
-		m.spawn(sp)
-	}
-}
-
-func (m *memberRun) run() {
-	m.emit = m.spawn
-	m.start = time.Now()
-	m.stage(0)
-	if m.p.send(fAttachOK, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
-		return
-	}
-	// Members attach paused: the coordinator balances the initial root
-	// distribution before the first resume.
-	if !m.pausedLoop() {
-		return
-	}
-	idle := 0 // consecutive resumes that brought no work
-	for {
-		// Control frames first, so a phase request never waits behind
-		// the whole queue.
-		if f, ok := m.p.tryRecv(); ok {
-			if !m.handle(f) {
-				return
-			}
-			continue
+// serve runs the session on conn to its end. The peer's reader is what
+// connects the coordinator to the running engine: a PHASE raises the
+// engine's transfer request, a CANCEL or the death of the connection
+// cancels the run, each the moment the frame is read — the workers poll
+// two atomics between tasks, never the connection.
+func (m *memberRun) serve(conn net.Conn) {
+	m.p = newPeer(conn, m.n.opts.HeartbeatInterval, m.n.opts.HeartbeatTimeout, func(t frameType) {
+		switch t {
+		case fPhase:
+			m.run.RequestTransfer()
+		case fCancel, fInvalid:
+			m.run.Cancel()
 		}
-		t, ok := m.q.PopFront()
-		if !ok {
-			// Empty queue: tell the coordinator, after a backoff that
-			// grows while resumes keep bringing nothing — an idle
-			// member must not phase-storm the busy ones.
-			if idle > 0 {
-				if f, got, alive := m.idleWait(backoff(idle)); got {
-					if !m.handle(f) {
-						return
-					}
-					continue
-				} else if !alive {
-					return
-				}
+	})
+	defer m.p.close()
+	res := m.run.Run()
+	if m.finished {
+		_ = m.p.send(fCounters, countersMsg{
+			Job:       m.job,
+			Generated: res.Generated,
+			Executed:  res.Executed,
+			Nonlocal:  res.Nonlocal,
+			AppResult: res.AppResult,
+			Work:      int64(res.VirtualWork),
+			BusyNS:    int64(res.Busy),
+		}.encode())
+	}
+}
+
+// exchange is the member's system phase, called by the engine's phase
+// leader with the world stopped (par.Member.Exchange). It announces what
+// brought the member here, then obeys the coordinator until RESUME.
+func (m *memberRun) exchange(x *par.Stopped) bool {
+	var first frame
+	have, announced := false, false
+	switch {
+	case !m.attached:
+		// Members attach paused: the coordinator balances the initial
+		// root distribution before the first resume.
+		m.attached = true
+		if m.report(fAttachOK, x) != nil {
+			return false
+		}
+	case x.TransferPending():
+		// Stopped by the coordinator: its PHASE is in the inbox.
+	case x.Load() > 0:
+		// The workers met at the barrier on a stale drained count (see
+		// par's detector); there is nothing to announce.
+		return true
+	default:
+		// Drained. Tell the coordinator, after a backoff that grows while
+		// announcements keep bringing nothing — an idle member must not
+		// phase-storm the busy ones. A frame that arrives first is served
+		// instead, and the announcement waits for the next exchange.
+		if m.idle > 0 {
+			var alive bool
+			if first, have, alive = m.idleWait(backoff(m.idle)); !alive {
+				return false
 			}
+		}
+		if !have {
 			if m.p.send(fDrained, encodeJob(m.job)) != nil {
-				return
+				return false
 			}
-			f, err := m.p.recv(m.n.ctx)
-			if err != nil {
-				return
-			}
-			if !m.handle(f) {
-				return
-			}
-			if m.q.Empty() {
-				idle++
-			} else {
-				idle = 0
-			}
-			continue
+			announced = true
 		}
-		idle = 0
-		m.execute(t)
 	}
+	if !m.paused(x, first, have) {
+		return false
+	}
+	switch {
+	case x.Load() > 0:
+		m.idle = 0
+	case announced:
+		m.idle++
+	}
+	return true
 }
 
 // backoff is the idle member's wait before re-announcing an empty
@@ -179,63 +178,53 @@ func (m *memberRun) idleWait(d time.Duration) (frame, bool, bool) {
 	}
 }
 
-// handle processes one frame while running; false means the session is
-// over.
-func (m *memberRun) handle(f frame) bool {
-	switch f.t {
-	case fPhase:
-		return m.paused()
-	case fCancel:
-		return false
-	default:
-		_ = m.p.send(fError, encodeError("cluster: unexpected frame while running"))
-		return false
-	}
+// report sends the member's load in a frame of the given type.
+func (m *memberRun) report(t frameType, x *par.Stopped) error {
+	return m.p.send(t, loadsMsg{Job: m.job, Load: x.Load()}.encode())
 }
 
-// paused is the stop-the-world window: report the load, then obey the
-// coordinator — hand over tasks, install shipped batches, restage a
-// new round's roots — until resumed or finished.
-func (m *memberRun) paused() bool {
-	if m.p.send(fLoads, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
-		return false
-	}
-	return m.pausedLoop()
-}
-
-func (m *memberRun) pausedLoop() bool {
+// paused is the stop-the-world window: obey the coordinator — report the
+// load, hand over tasks, install shipped batches, restage a new round's
+// roots — until resumed (true) or told to stop. f, when have is set, is
+// a frame already received.
+func (m *memberRun) paused(x *par.Stopped, f frame, have bool) bool {
 	for {
-		f, err := m.p.recv(m.n.ctx)
-		if err != nil {
-			return false
+		if !have {
+			var err error
+			if f, err = m.p.recv(m.n.ctx); err != nil {
+				return false
+			}
 		}
+		have = false
 		switch f.t {
+		case fPhase:
+			// The stop-the-world request, answered here whether it is what
+			// stopped the member or found it stopped already.
+			x.AckTransfer()
+			if m.report(fLoads, x) != nil {
+				return false
+			}
 		case fTake:
 			tk, err := decodeTake(f.payload)
 			if err != nil {
 				return false
 			}
-			ts := m.q.TakeBack(tk.Count)
-			wts, err := encodeTasks(m.codec, ts)
+			m.batch = appendBatchHeader(m.batch[:0], m.job, tk.To)
+			taken, err := x.Take(tk.Count, m.give)
 			if err != nil {
 				_ = m.p.send(fError, encodeError(err.Error()))
 				return false
 			}
-			if m.p.send(fBatch, batchMsg{Job: m.job, To: tk.To, Tasks: wts}.encode()) != nil {
+			setBatchCount(m.batch, taken)
+			if m.p.send(fBatch, m.batch) != nil {
 				return false
 			}
 		case fPut:
-			bm, err := decodeBatch(f.payload)
-			if err != nil {
-				return false
-			}
-			ts, err := decodeTasks(m.codec, bm.Tasks)
-			if err != nil {
+			if err := installBatch(x, m.codec, f.payload); err != nil {
 				_ = m.p.send(fError, encodeError(err.Error()))
 				return false
 			}
-			m.q.PushAll(ts)
-			if m.p.send(fPutOK, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
+			if m.report(fPutOK, x) != nil {
 				return false
 			}
 		case fRound:
@@ -243,59 +232,27 @@ func (m *memberRun) pausedLoop() bool {
 			if err != nil {
 				return false
 			}
-			m.stage(rd.Round)
-			if m.p.send(fLoads, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
-				return false
-			}
-		case fPhase:
-			// A duplicate phase request: re-report the load.
-			if m.p.send(fLoads, loadsMsg{Job: m.job, Load: m.q.Len()}.encode()) != nil {
+			x.StageRound(rd.Round)
+			if m.report(fLoads, x) != nil {
 				return false
 			}
 		case fResume:
 			return true
 		case fFinish:
-			_ = m.p.send(fCounters, countersMsg{
-				Job:       m.job,
-				Generated: m.generated,
-				Executed:  m.executed,
-				Nonlocal:  m.nonlocal,
-				AppResult: m.appResult,
-				Work:      int64(m.vwork),
-				BusyNS:    int64(m.busy),
-			}.encode())
+			m.finished = true
 			return false
 		case fCancel:
 			return false
 		default:
-			_ = m.p.send(fError, encodeError("cluster: unexpected frame while paused"))
+			_ = m.p.send(fError, encodeError("cluster: unexpected frame in a member session"))
 			return false
 		}
 	}
 }
 
-// execute runs one task, spawning children into the local queue, and
-// yields the processor once per yieldSlice of execution. The run
-// loop's only channel operation is a nonblocking tryRecv, so on a
-// single-P runtime (GOMAXPROCS=1, or a node oversubscribed with
-// sessions) it would otherwise hold the processor for a full
-// preemption quantum (~10ms) — long enough to starve this member's own
-// peer reader and the coordinator, serializing the whole job onto
-// whichever member got work first. The slice is counted in the busy
-// time measured here anyway: microsecond tasks pay no scheduler call
-// and no extra clock read each.
-func (m *memberRun) execute(t task.Task) {
-	began := time.Since(m.start) // monotonic readings only: time.Now would read the wall clock too
-	w, res := app.ExecuteCount(m.app, t.Data, m.emit)
-	m.busy += time.Since(m.start) - began
-	m.executed++
-	m.vwork += w
-	m.appResult += res
-	if t.Origin != m.idx {
-		m.nonlocal++
-	}
-	if m.busy-m.yielded >= yieldSlice {
-		m.yielded = m.busy
-		runtime.Gosched()
-	}
+// appendTask appends one task the engine gives up to the batch under
+// construction (memberRun.give).
+func (m *memberRun) appendTask(id uint64, origin int, payload any) (err error) {
+	m.batch, err = appendBatchTask(m.batch, m.codec, id, origin, payload)
+	return err
 }

@@ -2,64 +2,181 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"runtime"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"rips"
 	"rips/internal/app"
 )
 
-// idaMember is one member holding the whole of IDA* #1 — 0.8us tasks,
-// the grain at which per-task overhead in the execute loop shows.
-func idaMember(tb testing.TB) *memberRun {
-	a, err := rips.LookupApp("ida", 1)
+// scriptedMember starts one member session of job 7 on the far end of a
+// net.Pipe and returns the session's protocol state, the near end — the
+// test plays coordinator on it — and a function that waits for the
+// session to return and for every goroutine it started (the engine's
+// worker, its peer's reader and heartbeat) to be gone.
+func scriptedMember(t *testing.T, appName string, size, member int) (*memberRun, *peer, func()) {
+	t.Helper()
+	n := startCluster(t, NewMemTransport(), 1, nil)[0]
+	m, err := n.newMember(attachMsg{Job: 7, App: appName, Size: size, K: 2, Member: member}.encode())
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
-	m := &memberRun{app: a, k: 1}
-	m.emit = m.spawn
-	return m
-}
-
-// TestMemberYieldsPerSlice pins the single-P fairness of the execute
-// loop from both sides. A bystander goroutine stands in for the
-// member's peer reader: on one P it runs only when the member gives
-// the processor up, so its turns count the member's yields. There
-// must be about one per yieldSlice of busy time — far more than the
-// runtime's own 10ms preemption would grant, far fewer than one per
-// task.
-func TestMemberYieldsPerSlice(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	m := idaMember(t)
-	var turns atomic.Int64
-	stop, stopped := make(chan struct{}), make(chan struct{})
+	near, far := net.Pipe()
+	coord := newPeer(near, n.opts.HeartbeatInterval, n.opts.HeartbeatTimeout, nil)
+	t.Cleanup(coord.close)
+	base := runtime.NumGoroutine()
+	over := make(chan struct{})
 	go func() {
-		defer close(stopped)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				turns.Add(1)
-				runtime.Gosched()
+		defer close(over)
+		m.serve(far)
+	}()
+	return m, coord, func() {
+		t.Helper()
+		select {
+		case <-over:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the member session is still running")
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines, %d before the session", runtime.NumGoroutine(), base)
 			}
 		}
-	}()
-	for round := 0; round < m.app.Rounds(); round++ {
-		m.stage(round)
-		for tk, ok := m.q.PopFront(); ok; tk, ok = m.q.PopFront() {
-			m.execute(tk)
+	}
+}
+
+// expect receives the member's next frame, which must be of type want.
+func expect(t *testing.T, coord *peer, want frameType) frame {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	f, err := coord.recv(ctx)
+	if err != nil {
+		t.Fatalf("waiting for the member's %v: %v", want, err)
+	}
+	if f.t != want {
+		t.Fatalf("member sent %v, want %v", f.t, want)
+	}
+	return f
+}
+
+func say(t *testing.T, coord *peer, ft frameType, payload []byte) {
+	t.Helper()
+	if err := coord.send(ft, payload); err != nil {
+		t.Fatalf("sending %v: %v", ft, err)
+	}
+}
+
+// phase plays one empty system phase: PHASE, the member's LOADS (which
+// must report load), RESUME.
+func phase(t *testing.T, coord *peer, load int) {
+	t.Helper()
+	say(t, coord, fPhase, encodeJob(7))
+	if m, err := decodeLoads(expect(t, coord, fLoads).payload); err != nil || m.Load != load {
+		t.Fatalf("member reported load %+v, %v; want %d", m, err, load)
+	}
+	say(t, coord, fResume, encodeJob(7))
+}
+
+// TestMemberBackoffCounter drives one member with a scripted coordinator
+// through the three rules of its drain-announcement backoff. The counter
+// is read after a frame the member sent later than it last wrote it, so
+// the pipe orders the read.
+func TestMemberBackoffCounter(t *testing.T) {
+	m, coord, ended := scriptedMember(t, "nq", 6, 1)
+	if ld, err := decodeLoads(expect(t, coord, fAttachOK).payload); err != nil || ld.Load != 0 {
+		t.Fatalf("member 1 of a job rooted on member 0 attached with %+v, %v", ld, err)
+	}
+	say(t, coord, fResume, encodeJob(7))
+
+	// Rule 1: the counter advances when the member's own announcement
+	// came back empty, once per announcement, and the next announcement
+	// waits for it.
+	for want := 0; want < 6; want++ {
+		sent := time.Now()
+		expect(t, coord, fDrained)
+		if m.idle != want {
+			t.Fatalf("announcement %d made at idle = %d", want, m.idle)
 		}
+		if want > 0 && time.Since(sent) < backoff(want) {
+			t.Errorf("announcement %d came %v after the resume, backoff is %v", want, time.Since(sent), backoff(want))
+		}
+		phase(t, coord, 0)
 	}
-	close(stop)
-	<-stopped
-	slices, got := int64(m.busy/yieldSlice), turns.Load()
-	if got < slices/4 {
-		t.Errorf("the bystander ran %d times in %v of execution (%d slices): the member is not yielding every slice", got, m.busy, slices)
+
+	// Rule 2: a PHASE that finds the member waiting out its backoff (32 ms
+	// now) is served without an announcement and leaves the counter alone.
+	resumed := time.Now()
+	phase(t, coord, 0) // its LOADS must be the next frame: expect fails on a DRAINED
+	expect(t, coord, fDrained)
+	if m.idle != 6 {
+		t.Errorf("a PHASE interrupting the backoff moved idle from 6 to %d", m.idle)
 	}
-	if got > 2*slices+100 && got > m.executed/10 {
-		t.Errorf("the bystander ran %d times for %d tasks in %d slices: the member yields per task again", got, m.executed, slices)
+	if waited := time.Since(resumed); waited < backoff(6) {
+		t.Errorf("the announcement after the interrupted wait came after %v, backoff is %v", waited, backoff(6))
+	}
+
+	// Rule 3: receiving a task resets it.
+	codec := nqCodec(t)
+	a, _ := rips.LookupApp("nq", 6)
+	batch := appendBatchHeader(nil, 7, 1)
+	batch, err := appendBatchTask(batch, codec, 99, 0, a.Roots(0)[0].Payload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setBatchCount(batch, 1)
+	say(t, coord, fPhase, encodeJob(7))
+	expect(t, coord, fLoads)
+	say(t, coord, fPut, batch)
+	if ld, err := decodeLoads(expect(t, coord, fPutOK).payload); err != nil || ld.Load != 1 {
+		t.Fatalf("PUT of one task acknowledged with %+v, %v", ld, err)
+	}
+	say(t, coord, fResume, encodeJob(7))
+	expect(t, coord, fDrained) // at once: the member ran 6-Queens and announces at idle 0
+	if m.idle != 0 {
+		t.Errorf("idle = %d after the member received work", m.idle)
+	}
+
+	// FINISH: the counters of exactly that subtree, its root nonlocal.
+	say(t, coord, fPhase, encodeJob(7))
+	expect(t, coord, fLoads)
+	say(t, coord, fFinish, encodeJob(7))
+	cm, err := decodeCounters(expect(t, coord, fCounters).payload)
+	prof := app.Measure(a)
+	if err != nil || cm.Executed != int64(prof.Tasks) || cm.Generated != cm.Executed-1 || cm.Nonlocal != 1 ||
+		cm.AppResult != prof.Result || cm.Work != int64(prof.Work) {
+		t.Errorf("counters %+v, %v; want 6-Queens (%d tasks, result %d, work %d) less the root it did not generate", cm, err, prof.Tasks, prof.Result, prof.Work)
+	}
+	ended()
+}
+
+// TestMemberStopsOnCancelAndOnLostCoordinator: a CANCEL frame and the
+// death of the connection each end a member that is in the middle of
+// its user phase — raised by the reader, not found at a poll — with its
+// tasks abandoned, no counters sent and no goroutine left.
+func TestMemberStopsOnCancelAndOnLostCoordinator(t *testing.T) {
+	for _, how := range []string{"cancel", "lost"} {
+		_, coord, ended := scriptedMember(t, "nq", 14, 0)
+		if ld, err := decodeLoads(expect(t, coord, fAttachOK).payload); err != nil || ld.Load != 1 {
+			t.Fatalf("member 0 attached with %+v, %v", ld, err)
+		}
+		say(t, coord, fResume, encodeJob(7))
+		time.Sleep(20 * time.Millisecond) // 14-Queens takes this member a few hundred
+		if how == "cancel" {
+			say(t, coord, fCancel, cancelMsg{Job: 7, Reason: "test"}.encode())
+		} else {
+			coord.close()
+		}
+		ended()
+		if how == "cancel" {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			if f, err := coord.recv(ctx); err == nil {
+				t.Errorf("a canceled member sent %v", f.t)
+			}
+			cancel()
+		}
 	}
 }
 
@@ -94,24 +211,5 @@ func TestClusterSingleP(t *testing.T) {
 	}
 	if res.Nonlocal == 0 {
 		t.Errorf("nonlocal = 0 over %d phases: the member holding the root never yielded to a system phase", res.Phases)
-	}
-}
-
-// BenchmarkMemberExecute measures the member's user-phase step — pop,
-// execute, spawn, and the yield decision — on one member draining
-// IDA* #1 round after round; ns/op is ns per task.
-func BenchmarkMemberExecute(b *testing.B) {
-	m := idaMember(b)
-	round := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, ok := m.q.PopFront()
-		if !ok {
-			m.stage(round)
-			round = (round + 1) % m.app.Rounds()
-			t, _ = m.q.PopFront()
-		}
-		m.execute(t)
 	}
 }

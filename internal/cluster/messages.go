@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"rips/internal/task"
+	"rips/internal/app"
+	"rips/internal/par"
 )
 
 // Payload encodings. Every field is fixed-width big-endian or a
@@ -276,54 +277,96 @@ func decodeRound(p []byte) (roundMsg, error) {
 	return m, r.fin()
 }
 
-// wireTask is one task in flight between members.
-type wireTask struct {
-	ID      uint64
-	Origin  int
-	Size    int
-	Payload []byte
-}
-
-// batchMsg ships tasks (fBatch member→coordinator, fPut
+// A batch ships tasks (fBatch member→coordinator, fPut
 // coordinator→member; the coordinator relays the payload unchanged,
-// only the frame type flips).
-type batchMsg struct {
-	Job   uint64
-	To    int // destination member index
-	Tasks []wireTask
-}
+// only the frame type flips):
+//
+//	u64 job | u32 to | u32 count | count × (u64 id | u32 origin | u32 size | bytes payload)
+//
+// to is the destination member's index and size the payload's length.
+// No side ever holds a batch as a message value: the sender appends it
+// task by task from its task nodes into one reused buffer
+// (memberRun.give), the coordinator counts it (batchCount), and the
+// receiver decodes it straight into task nodes (installBatch).
+const batchHeaderSize = 8 + 4 + 4
 
-func (m batchMsg) encode() []byte {
-	var w wbuf
-	w.u64(m.Job)
-	w.u32(uint32(m.To))
-	w.u32(uint32(len(m.Tasks)))
-	for _, t := range m.Tasks {
-		w.u64(t.ID)
-		w.u32(uint32(t.Origin))
-		w.u32(uint32(t.Size))
-		w.bytes(t.Payload)
-	}
+// appendBatchHeader starts a batch; the count is patched in by
+// setBatchCount once the tasks are appended.
+func appendBatchHeader(dst []byte, job uint64, to int) []byte {
+	w := wbuf{b: dst}
+	w.u64(job)
+	w.u32(uint32(to))
+	w.u32(0)
 	return w.b
 }
 
-func decodeBatch(p []byte) (batchMsg, error) {
+func setBatchCount(batch []byte, n int) {
+	binary.BigEndian.PutUint32(batch[batchHeaderSize-4:], uint32(n))
+}
+
+// appendBatchTask appends one task to a batch, its payload encoded in
+// place by the app's codec.
+func appendBatchTask(dst []byte, codec app.PayloadCodec, id uint64, origin int, payload any) ([]byte, error) {
+	w := wbuf{b: dst}
+	w.u64(id)
+	w.u32(uint32(origin))
+	at := len(w.b)
+	w.u32(0) // size
+	w.u32(0) // payload length
+	b, err := codec.AppendPayload(w.b, payload)
+	if err != nil {
+		return dst, fmt.Errorf("cluster: serializing task %d: %w", id, err)
+	}
+	n := uint32(len(b) - at - 8)
+	binary.BigEndian.PutUint32(b[at:], n)
+	binary.BigEndian.PutUint32(b[at+4:], n)
+	return b, nil
+}
+
+// walkBatch is the one strict reader of a batch: it checks the header,
+// calls task for each task in order and refuses a short read, an absurd
+// count and trailing bytes. It returns the task count.
+func walkBatch(p []byte, task func(id uint64, origin int, payload []byte) error) (int, error) {
 	r := rbuf{b: p}
-	m := batchMsg{Job: r.u64("job"), To: int(r.u32("to"))}
+	r.u64("job")
+	r.u32("to")
 	n := r.u32("count")
 	if n > maxPayload/8 {
-		return batchMsg{}, fmt.Errorf("cluster: malformed batch: absurd task count %d", n)
+		return 0, fmt.Errorf("cluster: malformed batch: absurd task count %d", n)
 	}
-	m.Tasks = make([]wireTask, 0, n)
-	for i := uint32(0); i < n; i++ {
-		m.Tasks = append(m.Tasks, wireTask{
-			ID:      r.u64("task id"),
-			Origin:  int(r.u32("task origin")),
-			Size:    int(r.u32("task size")),
-			Payload: r.bytes("task payload"),
-		})
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		id, origin := r.u64("task id"), int(r.u32("task origin"))
+		r.u32("task size")
+		payload := r.bytes("task payload")
+		if r.err == nil && task != nil {
+			if err := task(id, origin, payload); err != nil {
+				return 0, err
+			}
+		}
 	}
-	return m, r.fin()
+	return int(n), r.fin()
+}
+
+// batchCount is what the coordinator needs of a batch it relays: the
+// number of tasks, and the assurance that it is well-formed up to the
+// payloads, which only the receiving member's codec can judge.
+func batchCount(p []byte) (int, error) { return walkBatch(p, nil) }
+
+// installBatch decodes a batch straight into task nodes of the member's
+// stopped engine — no message value, no boxed payload — and commits
+// them to the deques only if the whole batch is well-formed.
+func installBatch(x *par.Stopped, codec app.PayloadCodec, p []byte) error {
+	_, err := walkBatch(p, func(id uint64, origin int, payload []byte) error {
+		if err := codec.DecodeInto(payload, x.Stage(id, origin)); err != nil {
+			return fmt.Errorf("cluster: deserializing task %d: %w", id, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	x.Commit()
+	return nil
 }
 
 // countersMsg is a member's final tally (fCounters).
@@ -443,34 +486,4 @@ func decodeResult(p []byte) (resultMsg, error) {
 		ErrDetail: r.str("error detail"),
 	}
 	return m, r.fin()
-}
-
-// encodeTasks serializes a queue slice through the app's codec.
-func encodeTasks(codec interface {
-	AppendPayload(dst []byte, data any) ([]byte, error)
-}, ts []task.Task) ([]wireTask, error) {
-	out := make([]wireTask, 0, len(ts))
-	for _, t := range ts {
-		p, err := codec.AppendPayload(nil, t.Data)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: serializing task %d: %w", t.ID, err)
-		}
-		out = append(out, wireTask{ID: t.ID, Origin: t.Origin, Size: t.Size, Payload: p})
-	}
-	return out, nil
-}
-
-// decodeTasks deserializes a batch through the app's codec.
-func decodeTasks(codec interface {
-	DecodePayload(p []byte) (any, error)
-}, ws []wireTask) ([]task.Task, error) {
-	out := make([]task.Task, 0, len(ws))
-	for _, wt := range ws {
-		data, err := codec.DecodePayload(wt.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: deserializing task %d: %w", wt.ID, err)
-		}
-		out = append(out, task.Task{ID: wt.ID, Origin: wt.Origin, Size: wt.Size, Data: data})
-	}
-	return out, nil
 }

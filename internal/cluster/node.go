@@ -451,7 +451,7 @@ func (n *Node) Submit(ctx context.Context, spec rips.JobSpec) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("cluster: reaching coordinator %s: %w", coord, err)
 	}
-	p := newPeer(conn, n.opts.HeartbeatInterval, n.opts.HeartbeatTimeout)
+	p := newPeer(conn, n.opts.HeartbeatInterval, n.opts.HeartbeatTimeout, nil)
 	defer p.close()
 	if err := p.send(fSubmit, doc); err != nil {
 		return Result{}, fmt.Errorf("cluster: reaching coordinator %s: %w", coord, err)
@@ -493,7 +493,7 @@ func (n *Node) handleSubmit(conn net.Conn, payload []byte) {
 		_ = writeFrame(conn, fError, encodeError(err.Error()))
 		return
 	}
-	p := newPeer(conn, n.opts.HeartbeatInterval, n.opts.HeartbeatTimeout)
+	p := newPeer(conn, n.opts.HeartbeatInterval, n.opts.HeartbeatTimeout, nil)
 	defer p.close()
 	ctx, cancel := context.WithCancel(n.ctx)
 	defer cancel()

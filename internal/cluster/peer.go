@@ -25,6 +25,11 @@ type peer struct {
 	conn     net.Conn
 	interval time.Duration // heartbeat send period
 	timeout  time.Duration // per-frame read deadline
+	// watch, when non-nil, is told on the reader goroutine the type of
+	// every frame before the frame is queued, and fInvalid when the conn
+	// dies: how a member's engine, which looks at no channel between
+	// tasks, learns of a PHASE, a CANCEL or a lost coordinator.
+	watch func(frameType)
 
 	wmu sync.Mutex
 
@@ -36,11 +41,12 @@ type peer struct {
 	closeOnce sync.Once
 }
 
-func newPeer(conn net.Conn, interval, timeout time.Duration) *peer {
+func newPeer(conn net.Conn, interval, timeout time.Duration, watch func(frameType)) *peer {
 	p := &peer{
 		conn:     conn,
 		interval: interval,
 		timeout:  timeout,
+		watch:    watch,
 		inbox:    make(chan frame, 64),
 		done:     make(chan struct{}),
 		closed:   make(chan struct{}),
@@ -67,6 +73,9 @@ func (p *peer) read() {
 		}
 		if t == fHeartbeat {
 			continue
+		}
+		if p.watch != nil {
+			p.watch(t)
 		}
 		select {
 		case p.inbox <- frame{t, payload}:
@@ -99,6 +108,9 @@ func (p *peer) fail(err error) {
 	p.once.Do(func() {
 		p.err = err
 		close(p.done)
+		if p.watch != nil {
+			p.watch(fInvalid)
+		}
 	})
 }
 
@@ -134,16 +146,6 @@ func (p *peer) recv(ctx context.Context) (frame, error) {
 		return frame{}, p.err
 	case <-ctx.Done():
 		return frame{}, ctx.Err()
-	}
-}
-
-// tryRecv returns a pending frame without blocking.
-func (p *peer) tryRecv() (frame, bool) {
-	select {
-	case f := <-p.inbox:
-		return f, true
-	default:
-		return frame{}, false
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 )
 
 // WireSchema names the frame format; it appears in docs and status
@@ -108,20 +109,36 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("cluster: peer speaks rips-wire version %d, this node speaks %d", e.Got, wireVersion)
 }
 
-// writeFrame writes one frame. The payload may be nil (length 0).
+// smallFrame is the largest frame that is copied into one buffer and
+// written in a single call; a larger payload is written in place.
+const smallFrame = 512
+
+// writeFrame writes one frame. The payload may be nil (length 0). A
+// small frame goes out as one Write. A large one — a task batch — goes
+// out as header and payload in one net.Buffers, uncopied: a single
+// writev on a TCP connection, two Writes in a row anywhere else, so a
+// writer shared between goroutines needs the caller's lock either way
+// (peer.send holds it).
 func writeFrame(w io.Writer, t frameType, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	hdr := make([]byte, headerSize, headerSize+len(payload))
+	small := headerSize+len(payload) <= smallFrame
+	size := headerSize
+	if small {
+		size += len(payload)
+	}
+	hdr := make([]byte, headerSize, size)
 	copy(hdr[0:4], wireMagic[:])
 	hdr[4] = wireVersion
 	hdr[5] = byte(t)
 	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[10:14], crc32.ChecksumIEEE(payload))
-	// One Write call per frame so frames interleave atomically under
-	// the peer's write lock.
-	_, err := w.Write(append(hdr, payload...))
+	if small {
+		_, err := w.Write(append(hdr, payload...))
+		return err
+	}
+	_, err := (&net.Buffers{hdr, payload}).WriteTo(w)
 	return err
 }
 

@@ -23,6 +23,13 @@ import (
 //     back off automatically. Steal has no interval: a phase moves
 //     nothing there, so only the count ever asks for the barrier.
 //
+// A member-mode run (member.go) has a third: whoever owns the wire asks
+// from outside the run (MemberRun.RequestTransfer holds req at its
+// maximum, which every phase index honours) when another member's drain
+// made the coordinator stop the world. It has no interval either — its
+// workers balance by stealing, and what crosses members is planned
+// elsewhere.
+//
 // The leader resets the count and updates the EWMA inside the epoch
 // barrier; workers touch req and drained between barriers. Only the
 // timing of phases depends on any of it — the computed answer never
@@ -31,8 +38,11 @@ type detector struct {
 	cfg    *Config
 	n      int          // workers sharing the detector
 	cancel *atomic.Bool // the run's abort flag
-	ewma   float64
-	wait   time.Duration
+	// never marks a detector without an interval (Steal, member mode):
+	// only the drained count, or a raise from outside, requests a transfer.
+	never bool
+	ewma  float64
+	wait  time.Duration
 
 	// req is the highest user-phase index for which a transfer has been
 	// requested (-1 initially) — the phase-indexed init broadcast of the
@@ -53,7 +63,7 @@ type detector struct {
 }
 
 func newDetector(cfg *Config, n int, cancel *atomic.Bool) *detector {
-	d := &detector{cfg: cfg, n: n, cancel: cancel, wait: DefaultDetectInterval}
+	d := &detector{cfg: cfg, n: n, cancel: cancel, never: cfg.Strategy == Steal || cfg.member != nil, wait: DefaultDetectInterval}
 	d.req.Store(-1)
 	return d
 }
@@ -61,12 +71,12 @@ func newDetector(cfg *Config, n int, cancel *atomic.Bool) *detector {
 // noTimeout is the interval of a detector that never times out.
 const noTimeout = time.Duration(math.MaxInt64)
 
-// current is the interval to apply now: none under Steal, the constant
-// Config override when set, otherwise the adaptive interval derived
-// from phase yield (leader-written inside the barrier, so the read is
-// ordered by the barrier release).
+// current is the interval to apply now: none under Steal and in member
+// mode, the constant Config override when set, otherwise the adaptive
+// interval derived from phase yield (leader-written inside the barrier,
+// so the read is ordered by the barrier release).
 func (d *detector) current() time.Duration {
-	if d.cfg.Strategy == Steal {
+	if d.never {
 		return noTimeout
 	}
 	if d.cfg.DetectInterval != 0 {

@@ -46,6 +46,11 @@ import (
 // the round and ends the run; a task in a deque or in a thief's hand
 // can therefore never be left behind. A Steal run reports none of this
 // as phases: to its caller a crossing is a round barrier.
+//
+// A member of a multi-process run (member.go) is the engine at one
+// domain whose system phases are served from outside: the stopped world
+// is handed to an exchange that trades tasks with the other members,
+// planned by whoever coordinates them.
 
 // node is one task of the engine: what the deques, the system phase's
 // scratch and a thief's hand point at. The payload is data, or the
@@ -67,7 +72,7 @@ import (
 // phase run with the world stopped.
 type node struct {
 	id     uint64
-	origin int // worker that emitted it
+	origin int // home of the worker that emitted it
 	w      app.Words
 	data   any
 	next   *node // free-list link; meaningless anywhere else
@@ -84,8 +89,19 @@ const slabSize = 256
 // nodes come from, and the list of nodes not yet pushed.
 type engineWorker struct {
 	counters
-	id  int
-	dom int // index into engineRun.doms: whom it steals from and balances with
+	// yieldAt is the busy time at which the worker next gives up its
+	// processor: never, outside member mode (see yieldSlice). It sits
+	// with the counters execute writes anyway, away from the end of the
+	// struct: the next worker's struct may begin on the same cache line.
+	yieldAt time.Duration
+	id      int
+	dom     int // index into engineRun.doms: whom it steals from and balances with
+	// home is what this worker's tasks carry as their origin, and a task
+	// of another home counts as nonlocal here: the worker itself, or in
+	// member mode the member, so that a task is nonlocal when it crossed
+	// the wire. rank is the worker's slice of the task-id space, unique
+	// across the members of a run.
+	home, rank int
 	// class is the domain its steals are accounted to in the Result: dom
 	// under Hybrid, the Config.Domains classification under Steal (whose
 	// single engine domain is the whole machine).
@@ -137,7 +153,18 @@ type engineWorker struct {
 
 func (w *engineWorker) newID() uint64 {
 	w.seq++
-	return packID(w.id, w.seq)
+	return packID(w.rank, w.seq)
+}
+
+// carve cuts a new node from the worker's slab, buying a slab when the
+// last one is used up. Only its owner calls it, or the phase leader with
+// the world stopped.
+func (w *engineWorker) carve() *node {
+	if len(w.slab) == cap(w.slab) {
+		w.slab = make([]node, 0, slabSize) //ripslint:allow hotpath slab refill: only while the free list is empty, so a run stops buying slabs at its high-water mark (TestDequeExecutorAllocs pins it)
+	}
+	w.slab = w.slab[:len(w.slab)+1]
+	return &w.slab[len(w.slab)-1]
 }
 
 // release pushes the pending nodes onto the worker's own deque, where
@@ -172,6 +199,12 @@ type engineRun struct {
 	doms    []*engineDomain
 	dtopo   topo.Topology // the machine the planner sees, one node per domain
 	bar     *epochBarrier
+
+	// member is set on a member-mode run (member.go): one domain, no
+	// planner, every system phase an exchange with the other members. xch
+	// is the handle that exchange gets, one for the run.
+	member *Member
+	xch    Stopped
 
 	// steal marks a Steal run: one domain, a detector without a timeout,
 	// and a Result that reports no phases. eager and all are the transfer
@@ -237,20 +270,23 @@ type engineRun struct {
 func newEngineRun(cfg *Config) *engineRun {
 	n := cfg.Topo.Size()
 	r := &engineRun{
-		cfg:   cfg,
-		n:     n,
-		nd:    1,
-		bar:   newEpochBarrier(n),
-		start: time.Now(),
+		cfg:    cfg,
+		n:      n,
+		nd:     1,
+		bar:    newEpochBarrier(n),
+		member: cfg.member,
+		start:  time.Now(),
 	}
 	var cpus [][]int
-	switch cfg.Strategy {
-	case Steal:
+	switch {
+	case r.member != nil: // one stealing domain; the plan comes over the wire
+		r.xch.r = r
+	case cfg.Strategy == Steal:
 		r.steal = true
 		if cfg.Domains > 0 {
 			r.classes = resolveDomains(cfg.Domains, n, false)
 		}
-	case Hybrid:
+	case cfg.Strategy == Hybrid:
 		_, hypercube := cfg.Topo.(*topo.Hypercube)
 		r.nd = resolveDomains(cfg.Domains, n, hypercube)
 		r.classes = r.nd
@@ -259,7 +295,7 @@ func newEngineRun(cfg *Config) *engineRun {
 	default: // RIPS: every worker its own domain, planned over the machine itself
 		r.nd, r.dtopo = n, cfg.Topo
 	}
-	if !r.steal {
+	if !r.steal && r.member == nil {
 		r.eager = cfg.Local == ripsrt.Eager
 		r.all = cfg.Global == ripsrt.All
 	}
@@ -279,11 +315,17 @@ func newEngineRun(cfg *Config) *engineRun {
 		mates := dom.size() > 1
 		for i := dom.lo; i < dom.hi; i++ {
 			w := &engineWorker{
-				id:    i,
-				dom:   d,
-				class: classOf[i],
-				fifo:  !mates && !r.steal,
-				d:     newDeque(),
+				id:      i,
+				dom:     d,
+				home:    i,
+				rank:    i,
+				class:   classOf[i],
+				fifo:    !mates && !r.steal,
+				d:       newDeque(),
+				yieldAt: noTimeout,
+			}
+			if m := r.member; m != nil {
+				w.home, w.rank, w.yieldAt = m.Index, m.Index+m.Width*i, yieldSlice
 			}
 			// emit runs inside every task execution, called back by the
 			// application: the traversal cannot follow that call, so it is
@@ -296,13 +338,9 @@ func newEngineRun(cfg *Config) *engineRun {
 				if nd != nil {
 					w.free = nd.next
 				} else {
-					if len(w.slab) == cap(w.slab) {
-						w.slab = make([]node, 0, slabSize) //ripslint:allow hotpath slab refill: only while the free list is empty, so a run stops buying slabs at its high-water mark (TestDequeExecutorAllocs pins it)
-					}
-					w.slab = w.slab[:len(w.slab)+1]
-					nd = &w.slab[len(w.slab)-1]
+					nd = w.carve()
 				}
-				nd.id, nd.origin, nd.w, nd.data = w.newID(), w.id, sp.W, sp.Data
+				nd.id, nd.origin, nd.w, nd.data = w.newID(), w.home, sp.W, sp.Data
 				w.generated++
 				w.kids = append(w.kids, nd) //ripslint:allow hotpath kids keeps its capacity across tasks and, under Eager, across phases; growth stops at the widest fan-out (TestDequeExecutorAllocs pins it)
 			}
@@ -369,9 +407,20 @@ func (r *engineRun) run(d driver) (Result, error) {
 // let the first system phase spread the work across domains (stealing
 // spreads it within) — the paper's SPMD start. Called single-threaded
 // before the workers start, or by the phase leader with the world
-// stopped, when every worker's pending list is empty.
+// stopped, when every worker's pending list is empty. A member stages
+// its member's share only: its block of a block-distributed app's roots,
+// and of any other app's everything on member 0, nothing elsewhere.
 func (r *engineRun) loadRoots(round int) {
 	roots := r.cfg.App.Roots(round)
+	if m := r.member; m != nil {
+		lo, hi := 0, len(roots)
+		if app.RootsDistributed(r.cfg.App) {
+			lo, hi = app.RootBlock(len(roots), m.Width, m.Index)
+		} else if m.Index != 0 {
+			hi = 0
+		}
+		roots = roots[lo:hi]
+	}
 	stage := func(w *engineWorker, roots []app.Spawn) {
 		for _, sp := range roots {
 			w.emit(sp)
@@ -536,9 +585,10 @@ func (r *engineRun) stealLocal(w *engineWorker) *node {
 // Eager leaves them listed until the next system phase. The busy time is
 // the task alone: two monotonic clock readings against the run's start
 // (time.Now would read the wall clock too), with the pushes outside
-// them.
+// them. A member's worker then gives its processor up once per
+// yieldSlice of busy time; yieldAt is never reached anywhere else.
 func (r *engineRun) execute(w *engineWorker, t *node) {
-	if t.origin != w.id {
+	if t.origin != w.home {
 		w.nonlocal++
 	}
 	w.executed++
@@ -556,6 +606,10 @@ func (r *engineRun) execute(w *engineWorker, t *node) {
 	w.appResult += res
 	if !r.eager {
 		w.release()
+	}
+	if w.busy >= w.yieldAt {
+		w.yieldAt = w.busy + yieldSlice
+		runtime.Gosched()
 	}
 }
 
@@ -586,6 +640,10 @@ func (r *engineRun) beginPhase() {
 		return
 	}
 	r.phaseStart = time.Now()
+	if r.member != nil {
+		r.exchangePhase()
+		return
+	}
 	r.phaseMoved = 0
 
 	total := 0

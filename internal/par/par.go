@@ -36,7 +36,10 @@
 // is an apples-to-apples wall-clock comparison over one worker layout,
 // one deque, one barrier and one detector — `go run ./bench` reports
 // them as the par_fine and steal_fine workloads and the
-// par.hybrid.* layer metrics.
+// par.hybrid.* layer metrics. A job that spans processes runs the same
+// engine in each of them in member mode (member.go): one domain per
+// process, the system phase handed to the caller's exchange — which is
+// what a member of internal/cluster is, and what cluster_fine measures.
 //
 // Because this backend measures real elapsed time, its files carry
 // file-scope wallclock waivers (see the policy in internal/analysis):
@@ -160,6 +163,10 @@ type Config struct {
 	// return (see metrics.PhaseInfo). Ignored by Steal, which has no
 	// phases.
 	OnPhase func(metrics.PhaseInfo)
+
+	// member is set by NewMemberRun only: the run is one member of a
+	// multi-process job (member.go).
+	member *Member
 }
 
 func (c *Config) validate() error {
