@@ -63,7 +63,7 @@ func decodeBatch(p []byte) (batchMsg, error) {
 	return m, r.fin()
 }
 
-// landed is a task as a member holds it after a PUT.
+// landed is a task as a member holds it after a batch is installed.
 type landed struct {
 	id     uint64
 	origin int
@@ -107,7 +107,7 @@ func goldenBatch() batchMsg {
 
 // TestBatchBytesUnchanged: a batch appended task by task from decoded
 // words is byte for byte what batchMsg.encode wrote, with a task's size
-// field carrying its payload length; batchCount reads the count back
+// field carrying its payload length; walkBatch reads the count back
 // under decodeBatch's checks.
 func TestBatchBytesUnchanged(t *testing.T) {
 	codec := nqCodec(t)
@@ -128,8 +128,8 @@ func TestBatchBytesUnchanged(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("batch bytes drifted:\n got %x\nwant %x", got, want)
 	}
-	if n, err := batchCount(want); err != nil || n != 2 {
-		t.Errorf("batchCount = %d, %v", n, err)
+	if n, err := walkBatch(want, nil); err != nil || n != 2 {
+		t.Errorf("walkBatch = %d, %v", n, err)
 	}
 	for name, bad := range map[string][]byte{
 		"short":    want[:len(want)-1],
@@ -137,8 +137,8 @@ func TestBatchBytesUnchanged(t *testing.T) {
 		"absurd":   {0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
 		"empty":    nil,
 	} {
-		if _, err := batchCount(bad); err == nil {
-			t.Errorf("batchCount accepted a %s batch", name)
+		if _, err := walkBatch(bad, nil); err == nil {
+			t.Errorf("walkBatch accepted a %s batch", name)
 		}
 		if _, err := decodeBatch(bad); err == nil {
 			t.Errorf("decodeBatch accepted a %s batch", name)
@@ -158,7 +158,7 @@ func install(tb testing.TB, a app.App, p []byte) (got []landed, err error, alloc
 	run, rerr := par.NewMemberRun(a, 1, par.Member{Index: 1, Width: 2, Exchange: func(x *par.Stopped) bool {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err = installBatch(x, codec, p)
+		_, err = installBatch(x, codec, p)
 		runtime.ReadMemStats(&after)
 		allocated = after.TotalAlloc - before.TotalAlloc
 		if err != nil {
@@ -257,9 +257,9 @@ func FuzzDecodeInto(f *testing.F) {
 }
 
 // BenchmarkBatch measures a task's trip across the wire without the
-// wire: 512 IDA* states appended to a batch from their nodes, counted as
-// the relaying coordinator does, and installed into nodes again; ns/op
-// is ns per task.
+// wire: 512 IDA* states appended to a batch from their nodes and
+// installed into nodes again, held to the count taken; ns/op is ns per
+// task.
 func BenchmarkBatch(b *testing.B) {
 	a, err := rips.LookupApp("ida", 1)
 	if err != nil {
@@ -279,7 +279,7 @@ func BenchmarkBatch(b *testing.B) {
 		}
 		setBatchCount(root, 1)
 		for x.Load() < k { // the staged root, k times over
-			if err := installBatch(x, codec, root); err != nil {
+			if _, err := installBatch(x, codec, root); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -292,11 +292,8 @@ func BenchmarkBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			setBatchCount(batch, n)
-			if c, err := batchCount(batch); err != nil || c != n {
-				b.Fatalf("batchCount = %d, %v; took %d", c, err, n)
-			}
-			if err := installBatch(x, codec, batch); err != nil {
-				b.Fatal(err)
+			if c, err := installBatch(x, codec, batch); err != nil || c != n {
+				b.Fatalf("installed %d, %v; took %d", c, err, n)
 			}
 		}
 		return false

@@ -4,7 +4,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"rips"
@@ -16,12 +18,14 @@ import (
 
 // coordinate runs one job as its coordinator: recruit every ring
 // member (itself included, dialed through the transport like anyone
-// else), then drive the RIPS phase protocol — stop the world when a
-// member drains, collect a load snapshot, hand it to the unchanged
-// pure planner over the cluster's mirror topology, ship the planned
-// moves as serialized batches, resume. A zero global total is a round
-// boundary; after the last round the members' counters are summed into
-// the Result.
+// else), then drive the RIPS phase protocol — when a member drains, stop
+// the others, collect a load snapshot, hand it to the unchanged pure
+// planner over the cluster's mirror topology, and tell every member its
+// part of the plan. From there the phase is the members' own: donors
+// ship batches straight to receivers and everyone resumes itself; the
+// coordinator is back in its event loop and never sees a task. A zero
+// global total is a round boundary; after the last round the members'
+// counters are summed into the Result.
 func (n *Node) coordinate(ctx context.Context, spec rips.JobSpec) (Result, error) {
 	if spec.Config.Backend != "" && spec.Config.Backend != "cluster" {
 		return Result{}, fmt.Errorf("cluster: job asks for backend %q; a cluster node runs cluster-backend jobs only", spec.Config.Backend)
@@ -38,8 +42,6 @@ func (n *Node) coordinate(ctx context.Context, spec rips.JobSpec) (Result, error
 		return Result{}, fmt.Errorf("cluster: app %q tasks cannot cross a process boundary (no PayloadCodec)", spec.App)
 	}
 	members := n.Members()
-	k := len(members)
-	mirror := mirrorFor(cfg.Topology, k)
 	cfgBytes, err := json.Marshal(spec.Config)
 	if err != nil {
 		return Result{}, err
@@ -52,20 +54,10 @@ func (n *Node) coordinate(ctx context.Context, spec rips.JobSpec) (Result, error
 	n.addJob(1)
 	defer n.addJob(-1)
 
-	c := &coordRun{
-		n:       n,
-		job:     n.jobSeq.Add(1),
-		members: members,
-		app:     a,
-		mirror:  mirror,
-		events:  make(chan coordEvent, 4*k),
-		loads:   make([]int, k),
-		seen:    make([]bool, k),
-		start:   time.Now(),
-	}
+	c := newCoordRun(n, n.jobSeq.Add(1), members, a, mirrorFor(cfg.Topology, len(members)))
 	defer c.closeAll()
-	if lost := c.recruit(ctx, spec, cfgBytes); lost != -1 {
-		return c.abandonOrTimeout(ctx, lost)
+	if err := c.recruit(ctx, spec, cfgBytes); err != nil {
+		return c.abandon(ctx, err)
 	}
 	return c.drive(ctx)
 }
@@ -109,8 +101,9 @@ type coordRun struct {
 	mirror  topo.Topology
 	peers   []*peer
 	events  chan coordEvent
-	loads   []int
-	seen    []bool // members heard from in the collection under way
+	loads   []int      // the snapshot of the collection last completed
+	seen    []bool     // members heard from in the collection under way
+	ops     [][]planOp // each member's part of the plan being written
 	start   time.Time
 
 	res    Result
@@ -118,69 +111,85 @@ type coordRun struct {
 	round  int
 }
 
-// recruit dials every member and attaches it; returns the index of the
-// first unreachable member, or -1. The coordinator reaches its own
-// member session through the transport like any other — one code path,
+func newCoordRun(n *Node, job uint64, members []string, a app.App, mirror topo.Topology) *coordRun {
+	k := len(members)
+	return &coordRun{
+		n:       n,
+		job:     job,
+		members: members,
+		app:     a,
+		mirror:  mirror,
+		peers:   make([]*peer, k),
+		// A member has at most four events in flight — a stale DRAINED, a
+		// LOADS, an ERROR and its death — so no reader ever waits here for
+		// the coordinator to catch up.
+		events: make(chan coordEvent, 4*k),
+		loads:  make([]int, k),
+		seen:   make([]bool, k),
+		ops:    make([][]planOp, k),
+		start:  time.Now(),
+	}
+}
+
+// recruit dials every member and attaches it, then collects the
+// attach acknowledgements. The coordinator reaches its own member
+// session through the transport like any other — one code path,
 // uniformly exercised.
-func (c *coordRun) recruit(ctx context.Context, spec rips.JobSpec, cfgBytes []byte) int {
-	c.peers = make([]*peer, len(c.members))
+func (c *coordRun) recruit(ctx context.Context, spec rips.JobSpec, cfgBytes []byte) error {
+	// The job's name on member links: coordinators each number their own
+	// jobs, the address makes the key unique across them.
+	key := fmt.Sprintf("%s/%d", c.n.addr, c.job)
 	for i, addr := range c.members {
 		conn, err := c.n.opts.Transport.Dial(addr, c.n.opts.DialTimeout)
 		if err != nil {
-			return i
+			return &NodeLostError{Addr: addr}
 		}
-		p := newPeer(conn, c.n.opts.HeartbeatInterval, c.n.opts.HeartbeatTimeout, nil)
-		c.peers[i] = p
-		att := attachMsg{Job: c.job, App: spec.App, Size: spec.Size, K: len(c.members), Member: i, Config: cfgBytes}
-		if err := p.send(fAttach, att.encode()); err != nil {
-			return i
+		c.join(i, conn)
+		att := attachMsg{Job: c.job, App: spec.App, Size: spec.Size, K: len(c.members), Member: i, Config: cfgBytes, Key: key, Members: c.members}
+		if err := c.peers[i].send(fAttach, att.encode()); err != nil {
+			return &NodeLostError{Addr: addr}
 		}
 	}
-	// Pump every peer into one merged event stream.
-	for i, p := range c.peers {
-		go func(i int, p *peer) {
-			for {
-				f, err := p.recv(ctx)
-				select {
-				case c.events <- coordEvent{i, f, err}:
-				case <-p.closed:
-					return
-				}
-				if err != nil {
-					return
-				}
-			}
-		}(i, p)
-	}
-	// Collect every member's attach acknowledgement and initial load.
-	pending := len(c.members)
-	for pending > 0 {
-		ev, lost := c.next(ctx)
-		if lost != -1 {
-			return lost
-		}
-		m, err := decodeLoads(ev.f.payload)
-		if ev.f.t != fAttachOK || err != nil {
-			return ev.member
-		}
-		c.loads[ev.member] = m.Load
-		pending--
-	}
-	return -1
+	return c.collect(ctx, fAttachOK)
 }
 
-// next blocks for one event; a member error (or context expiry) is
-// reported as a lost member index, context expiry as the pseudo-index
-// of the coordinator itself (handled by drive).
-func (c *coordRun) next(ctx context.Context) (coordEvent, int) {
+// join makes conn the coordinator's connection to member i. The peer's
+// reader delivers straight into the merged event stream: every frame,
+// then the connection's death.
+func (c *coordRun) join(i int, conn net.Conn) {
+	c.peers[i] = newPeer(conn, c.n.opts.HeartbeatInterval, c.n.opts.HeartbeatTimeout, func(p *peer, f frame) bool {
+		ev := coordEvent{member: i, f: f}
+		if f.t == fInvalid {
+			ev.err = p.err
+		}
+		select {
+		case c.events <- ev:
+		case <-p.closed:
+		}
+		return true
+	})
+}
+
+// next blocks for one event. A member's death is a *NodeLostError; an
+// ERROR frame is a live member reporting why it cannot go on — an app
+// its node does not know, a batch it could not install, a plan it could
+// not follow — and is surfaced as that, not as a lost node.
+func (c *coordRun) next(ctx context.Context) (coordEvent, error) {
 	select {
 	case ev := <-c.events:
-		if ev.err != nil {
-			return ev, ev.member
+		switch {
+		case ev.err != nil:
+			return ev, &NodeLostError{Addr: c.members[ev.member]}
+		case ev.f.t == fError:
+			msg, err := decodeError(ev.f.payload)
+			if err != nil {
+				msg = err.Error()
+			}
+			return ev, fmt.Errorf("cluster: member %s: %s", c.members[ev.member], msg)
 		}
-		return ev, -1
+		return ev, nil
 	case <-ctx.Done():
-		return coordEvent{err: ctx.Err()}, -2
+		return coordEvent{}, ctx.Err()
 	}
 }
 
@@ -188,192 +197,175 @@ func (c *coordRun) next(ctx context.Context) (coordEvent, int) {
 func (c *coordRun) drive(ctx context.Context) (Result, error) {
 	// The members attached paused: balance their initial root
 	// distribution before the first resume.
-	if lost := c.planAndMove(ctx); lost != -1 {
-		return c.abandonOrTimeout(ctx, lost)
+	if err := c.plan(); err != nil {
+		return c.abandon(ctx, err)
 	}
 	for {
-		ev, lost := c.next(ctx)
-		if lost != -1 {
-			return c.abandonOrTimeout(ctx, lost)
+		ev, err := c.next(ctx)
+		if err != nil {
+			return c.abandon(ctx, err)
 		}
-		switch ev.f.t {
-		case fDrained:
-			if lost := c.phase(ctx); lost != -1 {
-				return c.abandonOrTimeout(ctx, lost)
-			}
-			done, lost := c.boundary(ctx)
-			if lost != -1 {
-				return c.abandonOrTimeout(ctx, lost)
-			}
-			if done {
-				return c.finish(ctx)
-			}
-		default:
-			return c.protocolError(ev)
+		if ev.f.t != fDrained {
+			return c.abandon(ctx, c.unexpected(ev))
+		}
+		if err := c.phase(ctx, ev.member); err != nil {
+			return c.abandon(ctx, err)
+		}
+		done, err := c.boundary(ctx)
+		if err != nil {
+			return c.abandon(ctx, err)
+		}
+		if done {
+			return c.finish(ctx)
 		}
 	}
 }
 
-// phase stops the world: broadcast fPhase, collect one fLoads from
-// every member. Drained frames racing the phase broadcast are expected
-// and ignored. Returns a lost index or -1.
-func (c *coordRun) phase(ctx context.Context) int {
+// phase stops the world for the member that announced it had drained.
+// Its DRAINED is its load report — zero, or it would not have sent it —
+// and it is stopped already, so PHASE goes to the others only and one
+// LOADS comes back from each.
+func (c *coordRun) phase(ctx context.Context, announcer int) error {
 	c.phases++
-	if lost := c.broadcast(fPhase, encodeJob(c.job)); lost != -1 {
-		return lost
+	clear(c.seen)
+	c.seen[announcer] = true
+	c.loads[announcer] = 0
+	payload := encodeJob(c.job)
+	for i, p := range c.peers {
+		if i == announcer {
+			continue
+		}
+		if err := p.send(fPhase, payload); err != nil {
+			return &NodeLostError{Addr: c.members[i]}
+		}
 	}
-	return c.collectLoads(ctx)
+	return c.collect(ctx, fLoads)
 }
 
-// collectLoads gathers one fLoads per member into c.loads.
-func (c *coordRun) collectLoads(ctx context.Context) int {
-	clear(c.seen)
-	pending := len(c.members)
-	for pending > 0 {
-		ev, lost := c.next(ctx)
-		if lost != -1 {
-			return lost
-		}
-		switch ev.f.t {
-		case fDrained:
-			continue
-		case fLoads:
-			m, err := decodeLoads(ev.f.payload)
-			if err != nil || c.seen[ev.member] {
-				return ev.member
-			}
-			c.seen[ev.member] = true
-			c.loads[ev.member] = m.Load
-			pending--
-		default:
-			return ev.member
+// collect gathers one load report of the given type into c.loads from
+// every member not yet marked seen. A DRAINED that raced the phase
+// broadcast is expected and ignored: its sender answers the PHASE too.
+func (c *coordRun) collect(ctx context.Context, want frameType) error {
+	pending := 0
+	for _, seen := range c.seen {
+		if !seen {
+			pending++
 		}
 	}
-	return -1
+	for pending > 0 {
+		ev, err := c.next(ctx)
+		if err != nil {
+			return err
+		}
+		if ev.f.t == fDrained {
+			continue
+		}
+		m, err := decodeLoads(ev.f.payload)
+		if ev.f.t != want || err != nil || c.seen[ev.member] {
+			return c.unexpected(ev)
+		}
+		c.seen[ev.member] = true
+		c.loads[ev.member] = m.Load
+		pending--
+	}
+	return nil
 }
 
 // boundary handles the all-queues-empty case: advance the round
 // (restaging roots on the members) or report the job done.
-func (c *coordRun) boundary(ctx context.Context) (done bool, lost int) {
+func (c *coordRun) boundary(ctx context.Context) (done bool, err error) {
 	total := 0
 	for _, l := range c.loads {
 		total += l
 	}
 	if total > 0 {
-		return false, c.planAndMove(ctx)
+		return false, c.plan()
 	}
 	c.round++
 	if c.round >= c.app.Rounds() {
-		return true, -1
+		return true, nil
 	}
-	if lost := c.broadcast(fRound, roundMsg{Job: c.job, Round: c.round}.encode()); lost != -1 {
-		return false, lost
+	if err := c.broadcast(fRound, roundMsg{Job: c.job, Round: c.round}.encode()); err != nil {
+		return false, err
 	}
-	if lost := c.collectLoads(ctx); lost != -1 {
-		return false, lost
+	clear(c.seen)
+	if err := c.collect(ctx, fLoads); err != nil {
+		return false, err
 	}
-	return false, c.planAndMove(ctx)
+	return false, c.plan()
 }
 
-// planAndMove runs the pure planner over the current loads, ships each
-// planned move as a relayed task batch, then resumes every member.
-func (c *coordRun) planAndMove(ctx context.Context) int {
+// planOps runs the pure planner over a load snapshot and deals the moves
+// out, in plan order, to the members they involve: ops[i] is what member
+// i sends and receives. Plan order is one global order and every move in
+// it can be served from what its source holds once the earlier moves are
+// done (the engine applies the same plans sequentially), so a member
+// that forwards — receives from one neighbour, sends to the other —
+// waits only on ops that precede its own, and the members cannot
+// deadlock whatever the interleaving.
+func planOps(mirror topo.Topology, loads []int, ops [][]planOp) error {
+	for i := range ops {
+		ops[i] = ops[i][:0]
+	}
 	total := 0
-	for _, l := range c.loads {
+	for _, l := range loads {
 		total += l
 	}
-	if total > 0 && !par.BalancedCanonical(c.loads, total) {
-		plan, _, err := par.PlanLoads(c.mirror, c.loads)
-		if err != nil {
-			// A planner rejection means the coordinator built an
-			// inconsistent mirror — abort the job, don't guess.
-			c.res.Canceled = true
-			return len(c.members) // out of range: reported as self-inflicted below
-		}
-		for _, mv := range plan.Moves {
-			if lost := c.move(ctx, mv.From, mv.To, mv.Count); lost != -1 {
-				return lost
-			}
-		}
+	if total == 0 || par.BalancedCanonical(loads, total) {
+		return nil
 	}
-	return c.broadcast(fResume, encodeJob(c.job))
+	plan, _, err := par.PlanLoads(mirror, loads)
+	if err != nil {
+		// A planner rejection means the coordinator built an inconsistent
+		// mirror — abort the job, don't guess.
+		return fmt.Errorf("cluster: planner rejected loads %v: %w", loads, err)
+	}
+	for _, mv := range plan.Moves {
+		ops[mv.From] = append(ops[mv.From], planOp{Peer: mv.To, Count: mv.Count})
+		ops[mv.To] = append(ops[mv.To], planOp{Recv: true, Peer: mv.From, Count: mv.Count})
+	}
+	return nil
 }
 
-// move executes one planned transfer: fTake to the source, its fBatch
-// relayed as fPut to the destination — the same bytes, counted but not
-// decoded — and the destination's fPutOK closing the loop. Tasks
-// therefore move exactly once and never silently.
-func (c *coordRun) move(ctx context.Context, from, to, count int) int {
-	if err := c.peers[from].send(fTake, takeMsg{Job: c.job, To: to, Count: count}.encode()); err != nil {
-		return from
+// plan ends a system phase: every member is written its part of the
+// plan — an empty part is a bare resume — and nothing is awaited. The
+// members carry the plan out between themselves and resume on their own;
+// the next thing the coordinator hears of them is a DRAINED, or a
+// failure.
+func (c *coordRun) plan() error {
+	if err := planOps(c.mirror, c.loads, c.ops); err != nil {
+		return err
 	}
-	batch, lost := c.await(ctx, from, fBatch)
-	if lost != -1 {
-		return lost
-	}
-	moved, err := batchCount(batch)
-	if err != nil {
-		return from
-	}
-	if err := c.peers[to].send(fPut, batch); err != nil {
-		return to
-	}
-	ack, lost := c.await(ctx, to, fPutOK)
-	if lost != -1 {
-		return lost
-	}
-	am, err := decodeLoads(ack)
-	if err != nil {
-		return to
-	}
-	c.loads[from] -= moved
-	c.loads[to] = am.Load
-	return -1
-}
-
-// await blocks for one frame of the wanted type from one member,
-// ignoring stale fDrained frames from anyone.
-func (c *coordRun) await(ctx context.Context, member int, want frameType) ([]byte, int) {
-	for {
-		ev, lost := c.next(ctx)
-		if lost != -1 {
-			return nil, lost
+	for i, p := range c.peers {
+		if err := p.send(fPlan, planMsg{Job: c.job, Ops: c.ops[i]}.encode()); err != nil {
+			return &NodeLostError{Addr: c.members[i]}
 		}
-		if ev.f.t == fDrained {
-			continue
-		}
-		if ev.member != member || ev.f.t != want {
-			return nil, ev.member
-		}
-		return ev.f.payload, -1
 	}
+	return nil
 }
 
 // finish collects every member's counters and assembles the Result.
 func (c *coordRun) finish(ctx context.Context) (Result, error) {
-	if lost := c.broadcast(fFinish, encodeJob(c.job)); lost != -1 {
-		return c.abandonOrTimeout(ctx, lost)
+	if err := c.broadcast(fFinish, encodeJob(c.job)); err != nil {
+		return c.abandon(ctx, err)
 	}
 	clear(c.seen)
 	pending := len(c.members)
 	for pending > 0 {
-		ev, lost := c.next(ctx)
-		if lost != -1 {
+		ev, err := c.next(ctx)
+		if err != nil {
 			// A member's session ends — and its conn closes — the
 			// moment it sends its counters, so a death event from a
 			// member already counted is the normal end of its session,
 			// not a lost node.
-			if lost >= 0 && lost < len(c.seen) && c.seen[lost] {
+			if ev.err != nil && c.seen[ev.member] {
 				continue
 			}
-			return c.abandonOrTimeout(ctx, lost)
-		}
-		if ev.f.t != fCounters {
-			return c.protocolError(ev)
+			return c.abandon(ctx, err)
 		}
 		m, err := decodeCounters(ev.f.payload)
-		if err != nil || c.seen[ev.member] {
-			return c.abandonOrTimeout(ctx, ev.member)
+		if ev.f.t != fCounters || err != nil || c.seen[ev.member] {
+			return c.abandon(ctx, c.unexpected(ev))
 		}
 		c.seen[ev.member] = true
 		c.res.Generated += m.Generated
@@ -390,57 +382,48 @@ func (c *coordRun) finish(ctx context.Context) (Result, error) {
 	return c.res, nil
 }
 
-// broadcast sends one frame to every member; returns the first failed
-// index or -1.
-func (c *coordRun) broadcast(t frameType, payload []byte) int {
+// broadcast sends one frame to every member.
+func (c *coordRun) broadcast(t frameType, payload []byte) error {
 	for i, p := range c.peers {
 		if err := p.send(t, payload); err != nil {
-			return i
+			return &NodeLostError{Addr: c.members[i]}
 		}
 	}
-	return -1
+	return nil
 }
 
-// abandonOrTimeout folds the two failure exits: a context expiry
-// (timeout or submitter cancellation) or a lost member.
-func (c *coordRun) abandonOrTimeout(ctx context.Context, lost int) (Result, error) {
+// abandon is the one failure exit: it cancels the job on every member
+// still reachable and returns the partial, canceled Result with the
+// reason — the context's error when that is what ended the job (timeout
+// or submitter cancellation), else the error handed in: a
+// *NodeLostError for a connection that died or a heartbeat that
+// expired, and a member's own complaint, a planner rejection or a
+// protocol violation as themselves.
+func (c *coordRun) abandon(ctx context.Context, err error) (Result, error) {
 	if ctx.Err() != nil {
-		res, _ := c.abandon(-1)
-		return res, ctx.Err()
+		err = ctx.Err()
 	}
-	return c.abandon(lost)
-}
-
-// abandon cancels the job on every reachable member and returns the
-// partial, canceled Result. lost < 0 means no specific member died
-// (context expiry); an in-range lost names the dead node in the typed
-// error.
-func (c *coordRun) abandon(lost int) (Result, error) {
-	reason := "coordinator abandoned the job"
-	if lost >= 0 && lost < len(c.members) {
-		reason = fmt.Sprintf("node %s lost", c.members[lost])
+	reason, gone := "coordinator abandoned the job", ""
+	var lost *NodeLostError
+	if errors.As(err, &lost) {
+		reason, gone = fmt.Sprintf("node %s lost", lost.Addr), lost.Addr
 	}
 	payload := cancelMsg{Job: c.job, Reason: reason}.encode()
 	for i, p := range c.peers {
-		if p == nil || i == lost {
-			continue
+		if p != nil && c.members[i] != gone {
+			_ = p.send(fCancel, payload) // a member that cannot be told is found out by its own heartbeats
 		}
-		_ = p.send(fCancel, payload)
 	}
 	c.res.Workers = len(c.members)
 	c.res.Phases = c.phases
 	c.res.Wall = time.Since(c.start)
 	c.res.Canceled = true
-	if lost >= 0 && lost < len(c.members) {
-		return c.res, &NodeLostError{Addr: c.members[lost]}
-	}
-	return c.res, fmt.Errorf("cluster: job abandoned")
+	return c.res, err
 }
 
-// protocolError reports a member that broke the phase protocol.
-func (c *coordRun) protocolError(ev coordEvent) (Result, error) {
-	res, _ := c.abandon(ev.member)
-	return res, fmt.Errorf("cluster: member %s sent unexpected %v frame", c.members[ev.member], ev.f.t)
+// unexpected reports a member that broke the phase protocol.
+func (c *coordRun) unexpected(ev coordEvent) error {
+	return fmt.Errorf("cluster: member %s sent unexpected %v frame", c.members[ev.member], ev.f.t)
 }
 
 // closeAll tears down every job connection.

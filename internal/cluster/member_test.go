@@ -11,15 +11,22 @@ import (
 	"rips/internal/app"
 )
 
-// scriptedMember starts one member session of job 7 on the far end of a
-// net.Pipe and returns the session's protocol state, the near end — the
-// test plays coordinator on it — and a function that waits for the
-// session to return and for every goroutine it started (the engine's
-// worker, its peer's reader and heartbeat) to be gone.
+// scriptKey is the link key of the scripted job 7.
+const scriptKey = "script/7"
+
+// scriptedMember starts one member session of job 7, a job of two, on
+// the far end of a net.Pipe and returns the session's protocol state,
+// the near end — the test plays coordinator on it, and the other member
+// at "mem://partner" on the node's in-memory network — and a function
+// that waits for the session to return and for every goroutine it
+// started (the engine's worker, the readers and heartbeats of its peer
+// and links) to be gone.
 func scriptedMember(t *testing.T, appName string, size, member int) (*memberRun, *peer, func()) {
 	t.Helper()
 	n := startCluster(t, NewMemTransport(), 1, nil)[0]
-	m, err := n.newMember(attachMsg{Job: 7, App: appName, Size: size, K: 2, Member: member}.encode())
+	addrs := []string{"mem://partner", "mem://partner"}
+	addrs[member] = n.Addr()
+	m, err := n.newMember(attachMsg{Job: 7, App: appName, Size: size, K: 2, Member: member, Key: scriptKey, Members: addrs}.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +76,51 @@ func say(t *testing.T, coord *peer, ft frameType, payload []byte) {
 	}
 }
 
-// phase plays one empty system phase: PHASE, the member's LOADS (which
-// must report load), RESUME.
+// plan tells the member its part of a phase's plan; none is a bare
+// resume.
+func plan(t *testing.T, coord *peer, ops ...planOp) {
+	t.Helper()
+	say(t, coord, fPlan, planMsg{Job: 7, Ops: ops}.encode())
+}
+
+// phase plays one empty system phase some other member caused: PHASE,
+// the member's LOADS (which must report load), an empty PLAN.
 func phase(t *testing.T, coord *peer, load int) {
 	t.Helper()
 	say(t, coord, fPhase, encodeJob(7))
 	if m, err := decodeLoads(expect(t, coord, fLoads).payload); err != nil || m.Load != load {
 		t.Fatalf("member reported load %+v, %v; want %d", m, err, load)
 	}
-	say(t, coord, fResume, encodeJob(7))
+	plan(t, coord)
+}
+
+// partnerLink dials the member's node as the job's other member and
+// opens a member link to the session.
+func partnerLink(t *testing.T, m *memberRun, from int) *peer {
+	t.Helper()
+	conn, err := m.n.opts.Transport.Dial(m.n.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := newPeer(conn, m.n.opts.HeartbeatInterval, m.n.opts.HeartbeatTimeout, nil)
+	t.Cleanup(link.close)
+	say(t, link, fLink, linkMsg{Key: scriptKey, From: from}.encode())
+	return link
+}
+
+// rootBatch is a batch of count copies of a's first root under distinct
+// ids, addressed to member `to` of job 7.
+func rootBatch(t *testing.T, a app.App, to, count int) []byte {
+	t.Helper()
+	batch := appendBatchHeader(nil, 7, to)
+	for i := 0; i < count; i++ {
+		var err error
+		if batch, err = appendBatchTask(batch, a.(app.PayloadCodec), uint64(99+i), 0, a.Roots(0)[0].Payload()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setBatchCount(batch, count)
+	return batch
 }
 
 // TestMemberBackoffCounter drives one member with a scripted coordinator
@@ -89,11 +132,12 @@ func TestMemberBackoffCounter(t *testing.T) {
 	if ld, err := decodeLoads(expect(t, coord, fAttachOK).payload); err != nil || ld.Load != 0 {
 		t.Fatalf("member 1 of a job rooted on member 0 attached with %+v, %v", ld, err)
 	}
-	say(t, coord, fResume, encodeJob(7))
+	plan(t, coord)
 
 	// Rule 1: the counter advances when the member's own announcement
 	// came back empty, once per announcement, and the next announcement
-	// waits for it.
+	// waits for it. The announcement is the member's load report: the
+	// coordinator answers it with the plan, no PHASE in between.
 	for want := 0; want < 6; want++ {
 		sent := time.Now()
 		expect(t, coord, fDrained)
@@ -103,7 +147,7 @@ func TestMemberBackoffCounter(t *testing.T) {
 		if want > 0 && time.Since(sent) < backoff(want) {
 			t.Errorf("announcement %d came %v after the resume, backoff is %v", want, time.Since(sent), backoff(want))
 		}
-		phase(t, coord, 0)
+		plan(t, coord)
 	}
 
 	// Rule 2: a PHASE that finds the member waiting out its backoff (32 ms
@@ -118,30 +162,17 @@ func TestMemberBackoffCounter(t *testing.T) {
 		t.Errorf("the announcement after the interrupted wait came after %v, backoff is %v", waited, backoff(6))
 	}
 
-	// Rule 3: receiving a task resets it.
-	codec := nqCodec(t)
+	// Rule 3: receiving a task resets it. The task comes from member 0 on
+	// a member link, ahead of the PLAN that announces it.
 	a, _ := rips.LookupApp("nq", 6)
-	batch := appendBatchHeader(nil, 7, 1)
-	batch, err := appendBatchTask(batch, codec, 99, 0, a.Roots(0)[0].Payload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	setBatchCount(batch, 1)
-	say(t, coord, fPhase, encodeJob(7))
-	expect(t, coord, fLoads)
-	say(t, coord, fPut, batch)
-	if ld, err := decodeLoads(expect(t, coord, fPutOK).payload); err != nil || ld.Load != 1 {
-		t.Fatalf("PUT of one task acknowledged with %+v, %v", ld, err)
-	}
-	say(t, coord, fResume, encodeJob(7))
+	say(t, partnerLink(t, m, 0), fBatch, rootBatch(t, a, 1, 1))
+	plan(t, coord, planOp{Recv: true, Peer: 0, Count: 1})
 	expect(t, coord, fDrained) // at once: the member ran 6-Queens and announces at idle 0
 	if m.idle != 0 {
 		t.Errorf("idle = %d after the member received work", m.idle)
 	}
 
 	// FINISH: the counters of exactly that subtree, its root nonlocal.
-	say(t, coord, fPhase, encodeJob(7))
-	expect(t, coord, fLoads)
 	say(t, coord, fFinish, encodeJob(7))
 	cm, err := decodeCounters(expect(t, coord, fCounters).payload)
 	prof := app.Measure(a)
@@ -162,7 +193,7 @@ func TestMemberStopsOnCancelAndOnLostCoordinator(t *testing.T) {
 		if ld, err := decodeLoads(expect(t, coord, fAttachOK).payload); err != nil || ld.Load != 1 {
 			t.Fatalf("member 0 attached with %+v, %v", ld, err)
 		}
-		say(t, coord, fResume, encodeJob(7))
+		plan(t, coord)
 		time.Sleep(20 * time.Millisecond) // 14-Queens takes this member a few hundred
 		if how == "cancel" {
 			say(t, coord, fCancel, cancelMsg{Job: 7, Reason: "test"}.encode())

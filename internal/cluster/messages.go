@@ -22,6 +22,12 @@ func (w *wbuf) u64(v uint64)   { w.b = binary.BigEndian.AppendUint64(w.b, v) }
 func (w *wbuf) i64(v int64)    { w.u64(uint64(v)) }
 func (w *wbuf) str(s string)   { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
 func (w *wbuf) bytes(p []byte) { w.u32(uint32(len(p))); w.b = append(w.b, p...) }
+func (w *wbuf) strs(ss []string) {
+	w.u32(uint32(len(ss)))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
 func (w *wbuf) boolean(v bool) {
 	if v {
 		w.u8(1)
@@ -90,6 +96,21 @@ func (r *rbuf) bytes(what string) []byte {
 
 func (r *rbuf) str(what string) string { return string(r.bytes(what)) }
 
+// strs reads a counted list of strings. Every string costs at least its
+// four length bytes, so a count the remaining payload cannot hold is
+// refused before anything is sized by it.
+func (r *rbuf) strs(what string) []string {
+	n := r.u32(what)
+	if r.err == nil && int64(n) > int64(len(r.b)/4) {
+		r.err = fmt.Errorf("cluster: malformed payload: absurd %s count %d", what, n)
+	}
+	var ss []string
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		ss = append(ss, r.str(what))
+	}
+	return ss
+}
+
 func (r *rbuf) boolean(what string) bool {
 	switch r.u8(what) {
 	case 0:
@@ -130,23 +151,13 @@ func decodeAddr(p []byte) (string, error) {
 // membersMsg carries the full membership list (fMembers).
 func encodeMembers(addrs []string) []byte {
 	var w wbuf
-	w.u32(uint32(len(addrs)))
-	for _, a := range addrs {
-		w.str(a)
-	}
+	w.strs(addrs)
 	return w.b
 }
 
 func decodeMembers(p []byte) ([]string, error) {
 	r := rbuf{b: p}
-	n := r.u32("count")
-	if n > maxPayload/4 {
-		return nil, fmt.Errorf("cluster: malformed payload: absurd member count %d", n)
-	}
-	addrs := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		addrs = append(addrs, r.str("addr"))
-	}
+	addrs := r.strs("member")
 	return addrs, r.fin()
 }
 
@@ -171,6 +182,13 @@ type attachMsg struct {
 	K      int    // cluster width: how many members the job spans
 	Member int    // this member's index in the ring-ordered member list
 	Config []byte // the job's rips ConfigJSON document
+	// Key names the job on member links. Job numbers are drawn per
+	// coordinator; the key adds the coordinator's address, so two
+	// coordinators' jobs on one node cannot be confused.
+	Key string
+	// Members are the K ring-ordered member addresses: where member i
+	// dials when the plan has it send to member j.
+	Members []string
 }
 
 func (m attachMsg) encode() []byte {
@@ -181,30 +199,33 @@ func (m attachMsg) encode() []byte {
 	w.u32(uint32(m.K))
 	w.u32(uint32(m.Member))
 	w.bytes(m.Config)
+	w.str(m.Key)
+	w.strs(m.Members)
 	return w.b
 }
 
 func decodeAttach(p []byte) (attachMsg, error) {
 	r := rbuf{b: p}
 	m := attachMsg{
-		Job:    r.u64("job"),
-		App:    r.str("app"),
-		Size:   int(r.u32("size")),
-		K:      int(r.u32("k")),
-		Member: int(r.u32("member")),
-		Config: r.bytes("config"),
+		Job:     r.u64("job"),
+		App:     r.str("app"),
+		Size:    int(r.u32("size")),
+		K:       int(r.u32("k")),
+		Member:  int(r.u32("member")),
+		Config:  r.bytes("config"),
+		Key:     r.str("key"),
+		Members: r.strs("member"),
 	}
 	if err := r.fin(); err != nil {
 		return attachMsg{}, err
 	}
-	if m.K <= 0 || m.Member < 0 || m.Member >= m.K {
-		return attachMsg{}, fmt.Errorf("cluster: malformed attach: member %d of %d", m.Member, m.K)
+	if m.K <= 0 || m.Member < 0 || m.Member >= m.K || len(m.Members) != m.K {
+		return attachMsg{}, fmt.Errorf("cluster: malformed attach: member %d of %d, %d addresses", m.Member, m.K, len(m.Members))
 	}
 	return m, nil
 }
 
-// jobMsg is the bare job-scoped signal (fDrained, fPhase, fResume,
-// fFinish).
+// jobMsg is the bare job-scoped signal (fDrained, fPhase, fFinish).
 func encodeJob(job uint64) []byte {
 	var w wbuf
 	w.u64(job)
@@ -217,7 +238,7 @@ func decodeJob(p []byte) (uint64, error) {
 	return job, r.fin()
 }
 
-// loadsMsg reports a member's queue length (fAttachOK, fLoads, fPutOK).
+// loadsMsg reports a member's queue length (fAttachOK, fLoads).
 type loadsMsg struct {
 	Job  uint64
 	Load int
@@ -236,25 +257,81 @@ func decodeLoads(p []byte) (loadsMsg, error) {
 	return m, r.fin()
 }
 
-// takeMsg orders a member to hand over tasks (fTake).
-type takeMsg struct {
-	Job   uint64
-	To    int // destination member index
+// planOp is one step of a member's part in a phase's plan: a batch of
+// Count tasks it sends to, or receives from, member Peer.
+type planOp struct {
+	Recv  bool
+	Peer  int
 	Count int
 }
 
-func (m takeMsg) encode() []byte {
-	var w wbuf
+// planOpSize is an encoded planOp: u8 direction | u32 peer | u32 count.
+const planOpSize = 1 + 4 + 4
+
+// planMsg is one member's share of a phase's plan (fPlan): its sends and
+// receives in the plan's own order, after the last of which it resumes.
+// An empty list is a bare resume.
+type planMsg struct {
+	Job uint64
+	Ops []planOp
+}
+
+func (m planMsg) encode() []byte {
+	w := wbuf{b: make([]byte, 0, 8+4+planOpSize*len(m.Ops))}
 	w.u64(m.Job)
-	w.u32(uint32(m.To))
-	w.u32(uint32(m.Count))
+	w.u32(uint32(len(m.Ops)))
+	for _, op := range m.Ops {
+		w.boolean(op.Recv)
+		w.u32(uint32(op.Peer))
+		w.u32(uint32(op.Count))
+	}
 	return w.b
 }
 
-func decodeTake(p []byte) (takeMsg, error) {
+// decodePlan decodes the plan of member self of k. Beyond the shape it
+// refuses what no planner writes: a peer outside the job, a member
+// trading with itself, a batch of nothing.
+func decodePlan(p []byte, k, self int) (planMsg, error) {
 	r := rbuf{b: p}
-	m := takeMsg{Job: r.u64("job"), To: int(r.u32("to")), Count: int(r.u32("count"))}
-	return m, r.fin()
+	m := planMsg{Job: r.u64("job")}
+	n := r.u32("op count")
+	if r.err == nil && int64(n)*planOpSize != int64(len(r.b)) {
+		return planMsg{}, fmt.Errorf("cluster: malformed plan: %d ops in %d bytes", n, len(r.b))
+	}
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		op := planOp{Recv: r.boolean("op direction"), Peer: int(r.u32("op peer")), Count: int(r.u32("op tasks"))}
+		if r.err == nil && (op.Peer >= k || op.Peer == self || op.Count <= 0) {
+			return planMsg{}, fmt.Errorf("cluster: malformed plan: member %d of %d trades %d tasks with member %d", self, k, op.Count, op.Peer)
+		}
+		m.Ops = append(m.Ops, op)
+	}
+	if err := r.fin(); err != nil {
+		return planMsg{}, err
+	}
+	return m, nil
+}
+
+// linkMsg opens a member link (fLink): the dialing member names the job
+// by its key and itself by its index, and sends batches from then on.
+type linkMsg struct {
+	Key  string
+	From int
+}
+
+func (m linkMsg) encode() []byte {
+	var w wbuf
+	w.str(m.Key)
+	w.u32(uint32(m.From))
+	return w.b
+}
+
+func decodeLink(p []byte) (linkMsg, error) {
+	r := rbuf{b: p}
+	m := linkMsg{Key: r.str("key"), From: int(r.u32("from"))}
+	if err := r.fin(); err != nil {
+		return linkMsg{}, err
+	}
+	return m, nil
 }
 
 // roundMsg advances a job to its next globally-synchronized round
@@ -277,17 +354,16 @@ func decodeRound(p []byte) (roundMsg, error) {
 	return m, r.fin()
 }
 
-// A batch ships tasks (fBatch member→coordinator, fPut
-// coordinator→member; the coordinator relays the payload unchanged,
-// only the frame type flips):
+// A batch ships tasks from the member that gives them up straight to
+// the member the plan sends them to (fBatch, on a member link):
 //
 //	u64 job | u32 to | u32 count | count × (u64 id | u32 origin | u32 size | bytes payload)
 //
 // to is the destination member's index and size the payload's length.
 // No side ever holds a batch as a message value: the sender appends it
 // task by task from its task nodes into one reused buffer
-// (memberRun.give), the coordinator counts it (batchCount), and the
-// receiver decodes it straight into task nodes (installBatch).
+// (memberRun.give) and the receiver decodes it straight into task nodes
+// (installBatch). The coordinator never sees one.
 const batchHeaderSize = 8 + 4 + 4
 
 // appendBatchHeader starts a batch; the count is patched in by
@@ -347,26 +423,22 @@ func walkBatch(p []byte, task func(id uint64, origin int, payload []byte) error)
 	return int(n), r.fin()
 }
 
-// batchCount is what the coordinator needs of a batch it relays: the
-// number of tasks, and the assurance that it is well-formed up to the
-// payloads, which only the receiving member's codec can judge.
-func batchCount(p []byte) (int, error) { return walkBatch(p, nil) }
-
 // installBatch decodes a batch straight into task nodes of the member's
 // stopped engine — no message value, no boxed payload — and commits
-// them to the deques only if the whole batch is well-formed.
-func installBatch(x *par.Stopped, codec app.PayloadCodec, p []byte) error {
-	_, err := walkBatch(p, func(id uint64, origin int, payload []byte) error {
+// them to the deques only if the whole batch is well-formed. It returns
+// how many tasks the batch held.
+func installBatch(x *par.Stopped, codec app.PayloadCodec, p []byte) (int, error) {
+	n, err := walkBatch(p, func(id uint64, origin int, payload []byte) error {
 		if err := codec.DecodeInto(payload, x.Stage(id, origin)); err != nil {
 			return fmt.Errorf("cluster: deserializing task %d: %w", id, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	x.Commit()
-	return nil
+	return n, nil
 }
 
 // countersMsg is a member's final tally (fCounters).

@@ -81,6 +81,7 @@ type Node struct {
 	suspect map[string]bool // removed members, barred from gossip re-entry
 	fails   map[string]int  // consecutive probe failures
 	conns   map[net.Conn]struct{}
+	runs    map[string]*memberRun // live member sessions by job key, for inbound member links
 	jobs    int
 	closed  bool
 
@@ -110,6 +111,7 @@ func Start(opts Options) (*Node, error) {
 		suspect: map[string]bool{},
 		fails:   map[string]int{},
 		conns:   map[net.Conn]struct{}{},
+		runs:    map[string]*memberRun{},
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -336,8 +338,8 @@ func (n *Node) untrack(conn net.Conn) {
 }
 
 // serveConn dispatches one inbound connection. Control frames (join,
-// ping, echo) are handled in a loop; a submit or attach frame hands
-// the connection over to a job session and ends the dispatch.
+// ping, echo) are handled in a loop; a submit, attach or link frame
+// hands the connection over to a job session and ends the dispatch.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrack(conn)
@@ -372,6 +374,9 @@ func (n *Node) serveConn(conn net.Conn) {
 			return
 		case fAttach:
 			n.memberSession(conn, payload)
+			return
+		case fLink:
+			n.linkSession(conn, payload)
 			return
 		default:
 			_ = writeFrame(conn, fError, encodeError(fmt.Sprintf("cluster: unexpected %v frame", t)))

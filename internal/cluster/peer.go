@@ -3,6 +3,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -25,11 +26,15 @@ type peer struct {
 	conn     net.Conn
 	interval time.Duration // heartbeat send period
 	timeout  time.Duration // per-frame read deadline
-	// watch, when non-nil, is told on the reader goroutine the type of
-	// every frame before the frame is queued, and fInvalid when the conn
-	// dies: how a member's engine, which looks at no channel between
-	// tasks, learns of a PHASE, a CANCEL or a lost coordinator.
-	watch func(frameType)
+	// hook, when non-nil, is shown every frame on the reader goroutine
+	// before the frame is queued, and a frame of type fInvalid when the
+	// conn dies (p.err says why). A frame it takes is not queued. This is
+	// how a frame gets where it is going in one wake-up: a member's engine,
+	// which looks at no channel between tasks, learns of a PHASE, a CANCEL
+	// or a lost coordinator; the coordinator's merged event stream and a
+	// member's batch slots are fed by the readers themselves, with no
+	// goroutine in between.
+	hook func(p *peer, f frame) (taken bool)
 
 	wmu sync.Mutex
 
@@ -41,12 +46,12 @@ type peer struct {
 	closeOnce sync.Once
 }
 
-func newPeer(conn net.Conn, interval, timeout time.Duration, watch func(frameType)) *peer {
+func newPeer(conn net.Conn, interval, timeout time.Duration, hook func(*peer, frame) bool) *peer {
 	p := &peer{
 		conn:     conn,
 		interval: interval,
 		timeout:  timeout,
-		watch:    watch,
+		hook:     hook,
 		inbox:    make(chan frame, 64),
 		done:     make(chan struct{}),
 		closed:   make(chan struct{}),
@@ -74,8 +79,14 @@ func (p *peer) read() {
 		if t == fHeartbeat {
 			continue
 		}
-		if p.watch != nil {
-			p.watch(t)
+		if t == fInvalid {
+			// Type 0 is how a hook is told of the conn's death; on the wire
+			// it is nobody's frame.
+			p.fail(errors.New("cluster: peer sent a frame of type 0"))
+			return
+		}
+		if p.hook != nil && p.hook(p, frame{t, payload}) {
+			continue
 		}
 		select {
 		case p.inbox <- frame{t, payload}:
@@ -108,8 +119,8 @@ func (p *peer) fail(err error) {
 	p.once.Do(func() {
 		p.err = err
 		close(p.done)
-		if p.watch != nil {
-			p.watch(fInvalid)
+		if p.hook != nil {
+			p.hook(p, frame{})
 		}
 	})
 }

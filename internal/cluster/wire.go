@@ -40,6 +40,9 @@ var wireMagic = [4]byte{'R', 'I', 'P', 'W'}
 // frameType tags a frame's payload encoding.
 type frameType byte
 
+// Type numbers are the wire's: a retired type keeps its number reserved
+// (the blank entries below), so a frame from a node that still speaks it
+// is refused as unknown rather than misread as something else.
 const (
 	fInvalid   frameType = iota
 	fJoin                // addr — announce membership
@@ -53,18 +56,20 @@ const (
 	fHeartbeat           // empty — keeps per-frame read deadlines alive
 	fAttach              // attachMsg — coordinator recruits a member
 	fAttachOK            // loadsMsg — member attached, reports its load
-	fDrained             // jobMsg — member's queue ran dry
+	fDrained             // jobMsg — member's queue ran dry: its load report of the phase it causes
 	fPhase               // jobMsg — stop-the-world: pause and report load
 	fLoads               // loadsMsg — member's queue length, paused
-	fTake                // takeMsg — give count tasks to member `to`
-	fBatch               // batchMsg — serialized tasks, member → coordinator
-	fPut                 // batchMsg — serialized tasks, coordinator → member
-	fPutOK               // loadsMsg — tasks installed, new load
+	_                    // 15 reserved: was fTake (coordinator → donor, "give count tasks to member `to`")
+	fBatch               // batch — serialized tasks, donor member → receiving member on a member link
+	_                    // 17 reserved: was fPut (a batch relayed coordinator → receiver)
+	_                    // 18 reserved: was fPutOK (receiver → coordinator, tasks installed)
 	fRound               // roundMsg — advance to round r, restage roots
-	fResume              // jobMsg — phase over, execute again
+	_                    // 20 reserved: was fResume (coordinator → member, phase over)
 	fFinish              // jobMsg — job complete, report counters
 	fCounters            // countersMsg — member's final tallies
 	fCancel              // cancelMsg — abandon the job
+	fPlan                // planMsg — a member's sends and receives of one phase, in plan order; it resumes after the last
+	fLink                // linkMsg — first frame of a member link: which job, from which member
 )
 
 var frameNames = map[frameType]string{
@@ -72,9 +77,9 @@ var frameNames = map[frameType]string{
 	fEchoReply: "echo-reply", fSubmit: "submit", fResult: "result",
 	fError: "error", fHeartbeat: "heartbeat", fAttach: "attach",
 	fAttachOK: "attach-ok", fDrained: "drained", fPhase: "phase",
-	fLoads: "loads", fTake: "take", fBatch: "batch", fPut: "put",
-	fPutOK: "put-ok", fRound: "round", fResume: "resume",
+	fLoads: "loads", fBatch: "batch", fRound: "round",
 	fFinish: "finish", fCounters: "counters", fCancel: "cancel",
+	fPlan: "plan", fLink: "link",
 }
 
 func (t frameType) String() string {
@@ -142,6 +147,40 @@ func writeFrame(w io.Writer, t frameType, payload []byte) error {
 	return err
 }
 
+// readStep is the first allocation readPayload makes for a payload,
+// whatever length the header claims; readGrowth is how far past the bytes
+// it holds each later allocation may reach.
+const (
+	readStep   = 64 << 10
+	readGrowth = 8
+)
+
+// readPayload reads an n-byte payload into a buffer that grows with the
+// bytes received, never with the bytes announced: a header is fourteen
+// unauthenticated bytes, and nothing vouches for its length field until
+// the payload is in and the CRC agrees. The buffer starts at
+// min(n, readStep) and is regrown, only once it is full, to readGrowth
+// times its size: a reader never holds more than readGrowth times what
+// the peer has actually sent (plus readStep), an ordinary batch — tens of
+// KB — is read into its one exact allocation, and the largest — half a
+// deep frontier, hundreds of KB — costs one 64 KiB copy on top.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	payload := make([]byte, 0, min(n, readStep))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), min(n, readGrowth*cap(payload)))
+			copy(grown, payload)
+			payload = grown
+		}
+		m, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return payload, nil
+}
+
 // readFrame reads one frame, verifying magic, version and checksum.
 // io.EOF is returned bare only at a clean frame boundary; inside a
 // frame the error wraps ErrTruncated.
@@ -165,8 +204,8 @@ func readFrame(r io.Reader) (frameType, []byte, error) {
 	if n > maxPayload {
 		return fInvalid, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return fInvalid, nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {

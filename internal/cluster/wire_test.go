@@ -6,6 +6,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -112,6 +114,77 @@ func TestFrameCorruption(t *testing.T) {
 	})
 }
 
+// goldenAttach and goldenPlan are the messages whose bytes
+// TestReadFrameAllocatesWhatArrives: a header is fourteen bytes anyone
+// can send. One that claims the full 16 MiB and then hangs up must cost
+// the reader its first step, not the claim; and a frame that does arrive
+// in full still comes back whole across several steps.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hdr := []byte{'R', 'I', 'P', 'W', 1, byte(fEcho), 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[6:10], maxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("want ErrTruncated, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Errorf("a 14-byte header claiming %d bytes made readFrame allocate %d", maxPayload, got)
+	}
+
+	big := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 100000) // 700 kB: two regrowths past the first step
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, fEcho, big); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	ft, got, err := readFrame(&buf)
+	runtime.ReadMemStats(&after)
+	if err != nil || ft != fEcho || !bytes.Equal(got, big) {
+		t.Fatalf("a %d-byte frame read in steps came back as %v, %d bytes, %v", len(big), ft, len(got), err)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 2*uint64(len(big)) {
+		t.Errorf("reading %d bytes allocated %d", len(big), spent)
+	}
+}
+
+// TestMessageGolden pins and the decoders' fuzz corpora start from.
+func goldenAttach() attachMsg {
+	return attachMsg{Job: 7, App: "nq", Size: 12, K: 3, Member: 2, Config: []byte(`{"backend":"cluster"}`),
+		Key: "mem://a/7", Members: []string{"mem://a", "mem://b", "mem://c"}}
+}
+
+// goldenPlan is member 1 of 3 forwarding: six tasks in from member 0,
+// three of them on to member 2.
+func goldenPlan() planMsg {
+	return planMsg{Job: 9, Ops: []planOp{{Recv: true, Peer: 0, Count: 6}, {Peer: 2, Count: 3}}}
+}
+
+// TestMessageGolden pins the bytes of the two frames this protocol
+// version added, field by field.
+func TestMessageGolden(t *testing.T) {
+	wantPlan := []byte{
+		0, 0, 0, 0, 0, 0, 0, 9, // job
+		0, 0, 0, 2, // ops
+		1, 0, 0, 0, 0, 0, 0, 0, 6, // receive from member 0, 6 tasks
+		0, 0, 0, 0, 2, 0, 0, 0, 3, // send to member 2, 3 tasks
+	}
+	if got := goldenPlan().encode(); !bytes.Equal(got, wantPlan) {
+		t.Errorf("plan bytes drifted:\n got %x\nwant %x", got, wantPlan)
+	}
+	wantLink := []byte{0, 0, 0, 9, 'm', 'e', 'm', ':', '/', '/', 'a', '/', '7', 0, 0, 0, 2}
+	if got := (linkMsg{Key: "mem://a/7", From: 2}).encode(); !bytes.Equal(got, wantLink) {
+		t.Errorf("link bytes drifted:\n got %x\nwant %x", got, wantLink)
+	}
+	// The type numbers are the wire's: the retired ones stay unassigned.
+	for ft, want := range map[frameType]byte{fLoads: 14, fBatch: 16, fRound: 19, fFinish: 21, fCounters: 22, fCancel: 23, fPlan: 24, fLink: 25} {
+		if byte(ft) != want {
+			t.Errorf("frame %v has type number %d, want %d", ft, byte(ft), want)
+		}
+	}
+}
+
 // TestMessageRoundTrips proves each payload codec is its own inverse.
 func TestMessageRoundTrips(t *testing.T) {
 	t.Run("addr", func(t *testing.T) {
@@ -128,9 +201,26 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("attach", func(t *testing.T) {
-		in := attachMsg{Job: 7, App: "nq", Size: 12, K: 3, Member: 2, Config: []byte(`{"backend":"cluster"}`)}
+		in := goldenAttach()
 		got, err := decodeAttach(in.encode())
-		if err != nil || got.Job != 7 || got.App != "nq" || got.Size != 12 || got.K != 3 || got.Member != 2 || string(got.Config) != string(in.Config) {
+		if err != nil || !reflect.DeepEqual(got, in) {
+			t.Fatalf("got %+v, %v", got, err)
+		}
+	})
+	t.Run("plan", func(t *testing.T) {
+		in := goldenPlan()
+		got, err := decodePlan(in.encode(), 3, 1)
+		if err != nil || !reflect.DeepEqual(got, in) {
+			t.Fatalf("got %+v, %v", got, err)
+		}
+		if got, err := decodePlan(planMsg{Job: 9}.encode(), 3, 1); err != nil || got.Job != 9 || len(got.Ops) != 0 {
+			t.Fatalf("a bare resume decoded as %+v, %v", got, err)
+		}
+	})
+	t.Run("link", func(t *testing.T) {
+		in := linkMsg{Key: "mem://a/7", From: 2}
+		got, err := decodeLink(in.encode())
+		if err != nil || got != in {
 			t.Fatalf("got %+v, %v", got, err)
 		}
 	})
@@ -170,11 +260,48 @@ func TestMessageDecodeErrors(t *testing.T) {
 	if _, err := decodeAttach([]byte{1, 2}); err == nil {
 		t.Fatal("short attach decoded")
 	}
-	if _, err := decodeAttach(append(attachMsg{Job: 1, App: "a", K: 1, Member: 0}.encode(), 0xFF)); err == nil {
+	if _, err := decodeAttach(append(goldenAttach().encode(), 0xFF)); err == nil {
 		t.Fatal("trailing garbage decoded")
 	}
-	if _, err := decodeAttach(attachMsg{Job: 1, App: "a", K: 2, Member: 5}.encode()); err == nil {
-		t.Fatal("member out of range decoded")
+	for name, mod := range map[string]func(*attachMsg){
+		"member out of range": func(m *attachMsg) { m.Member = 5 },
+		"an address short":    func(m *attachMsg) { m.Members = m.Members[:2] },
+		"no members":          func(m *attachMsg) { m.K, m.Member, m.Members = 0, 0, nil },
+	} {
+		m := goldenAttach()
+		mod(&m)
+		if _, err := decodeAttach(m.encode()); err == nil {
+			t.Fatalf("attach with %s decoded", name)
+		}
+	}
+	// A member count the payload cannot hold is refused before it sizes
+	// anything.
+	absurd := goldenAttach()
+	absurd.Members = nil
+	enc := absurd.encode()
+	binary.BigEndian.PutUint32(enc[len(enc)-4:], 1<<31)
+	if _, err := decodeAttach(enc); err == nil {
+		t.Fatal("absurd member count decoded")
+	}
+	for name, bad := range map[string][]byte{
+		"short":          goldenPlan().encode()[:20],
+		"trailing":       append(goldenPlan().encode(), 0),
+		"absurd count":   {0, 0, 0, 0, 0, 0, 0, 9, 0xff, 0xff, 0xff, 0xff},
+		"peer out of K":  planMsg{Job: 9, Ops: []planOp{{Peer: 3, Count: 1}}}.encode(),
+		"send to itself": planMsg{Job: 9, Ops: []planOp{{Peer: 1, Count: 1}}}.encode(),
+		"recv from self": planMsg{Job: 9, Ops: []planOp{{Recv: true, Peer: 1, Count: 1}}}.encode(),
+		"empty batch":    planMsg{Job: 9, Ops: []planOp{{Peer: 0, Count: 0}}}.encode(),
+		"direction 2":    {0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1},
+	} {
+		if _, err := decodePlan(bad, 3, 1); err == nil {
+			t.Fatalf("plan with %s decoded", name)
+		}
+	}
+	if _, err := decodeLink(append(linkMsg{Key: "k", From: 1}.encode(), 0)); err == nil {
+		t.Fatal("link with trailing bytes decoded")
+	}
+	if _, err := decodeLink([]byte{0, 0, 0, 9, 'k'}); err == nil {
+		t.Fatal("short link decoded")
 	}
 	if _, err := decodeBatch([]byte{0}); err == nil {
 		t.Fatal("short batch decoded")
