@@ -1,3 +1,3 @@
 module rips
 
-go 1.22
+go 1.24

@@ -33,8 +33,9 @@ import (
 //   - rand: package-level math/rand functions, which draw from the
 //     process-global, unseeded (Go ≥1.20: randomly seeded) source.
 //     Deterministic code must thread a seeded *rand.Rand (rand.New,
-//     rand.NewSource are allowed for exactly that purpose; the
-//     simulator provides Node.Rand).
+//     rand.NewSource and math/rand/v2's NewPCG and NewChaCha8 are
+//     allowed for exactly that purpose; the simulator provides
+//     Node.Rand).
 //   - maporder: ranging over a map inside the scheduling core
 //     (internal/sim, internal/ripsrt, internal/sched/...), where
 //     iteration order is deliberately randomized by the runtime and
@@ -64,10 +65,12 @@ var sleepFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true,
 }
 
-// seededRandFuncs are the math/rand package-level functions that build
-// explicitly seeded generators rather than touching the global source.
+// seededRandFuncs are the math/rand and math/rand/v2 package-level
+// functions that build explicitly seeded generators rather than touching
+// the global source.
 var seededRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
 }
 
 // mapOrderScope lists the module-relative directories where scheduling

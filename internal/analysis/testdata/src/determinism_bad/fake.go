@@ -5,6 +5,7 @@ package fake
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
@@ -25,6 +26,13 @@ func Draw() int {
 func Seeded(seed int64) int {
 	r := rand.New(rand.NewSource(seed))
 	return r.Intn(6)
+}
+
+// SeededV2 is the same in math/rand/v2, whose sources are seeded by
+// their constructors; its package-level functions are as global.
+func SeededV2(seed uint64) int {
+	r := randv2.New(randv2.NewPCG(seed, 1))
+	return r.IntN(6) + randv2.IntN(6) // want "global math/rand"
 }
 
 // Pick makes a scheduling-style decision from map order.

@@ -157,7 +157,7 @@ func (c *coordRun) recruit(ctx context.Context, spec rips.JobSpec, cfgBytes []by
 // reader delivers straight into the merged event stream: every frame,
 // then the connection's death.
 func (c *coordRun) join(i int, conn net.Conn) {
-	c.peers[i] = newPeer(conn, c.n.opts.HeartbeatInterval, c.n.opts.HeartbeatTimeout, func(p *peer, f frame) bool {
+	c.peers[i] = startPeer(conn, c.n.opts.HeartbeatInterval, c.n.opts.HeartbeatTimeout, func(p *peer, f frame) {
 		ev := coordEvent{member: i, f: f}
 		if f.t == fInvalid {
 			ev.err = p.err
@@ -166,8 +166,7 @@ func (c *coordRun) join(i int, conn net.Conn) {
 		case c.events <- ev:
 		case <-p.closed:
 		}
-		return true
-	})
+	}, nil)
 }
 
 // next blocks for one event. A member's death is a *NodeLostError; an

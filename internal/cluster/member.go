@@ -10,6 +10,7 @@ import (
 
 	"rips/internal/app"
 	"rips/internal/par"
+	"rips/internal/reuse"
 )
 
 // memberSession serves one job on this node. The executor is the phase
@@ -49,6 +50,11 @@ func (n *Node) linkSession(conn net.Conn, payload []byte) {
 	}
 }
 
+// encodeBufs are the batch encode buffers no session is using. A job's
+// first batch is half a deep frontier, hundreds of KB: a session that
+// grew its buffer from nothing bought that again for every job.
+var encodeBufs reuse.List[[]byte]
+
 // errSessionOver ends a plan op on a session that is being torn down —
 // canceled, or cut off from the coordinator or a trading partner. There
 // is nobody to report it to.
@@ -77,9 +83,11 @@ type memberRun struct {
 	// of 22, +17 % wall).
 	idle int
 	// batch is the encode buffer of every batch sent, kept at its
-	// high-water mark; give is appendTask bound once, so giving tasks up
-	// allocates nothing. sending is the planned count of the batch under
-	// construction, by which its first task sizes the buffer.
+	// high-water mark — beyond the session: the first send takes it from
+	// encodeBufs and close puts it back. give is appendTask bound once, so
+	// giving tasks up allocates nothing. sending is the planned count of
+	// the batch under construction, by which its first task sizes the
+	// buffer.
 	batch   []byte
 	give    func(id uint64, origin int, payload any) error
 	sending int
@@ -144,14 +152,14 @@ func (n *Node) newMember(payload []byte) (*memberRun, error) {
 // cancels the run, each the moment the frame is read — the workers poll
 // two atomics between tasks, never the connection.
 func (m *memberRun) serve(conn net.Conn) {
-	m.p = m.peer(conn, func(_ *peer, f frame) bool {
+	o := m.n.opts
+	m.p = newPeer(conn, o.HeartbeatInterval, o.HeartbeatTimeout, func(_ *peer, f frame) {
 		switch f.t {
 		case fPhase:
 			m.run.RequestTransfer()
 		case fCancel, fInvalid:
 			m.kill()
 		}
-		return false
 	})
 	defer m.close()
 	res := m.run.Run()
@@ -166,10 +174,6 @@ func (m *memberRun) serve(conn net.Conn) {
 			BusyNS:    int64(res.Busy),
 		}.encode())
 	}
-}
-
-func (m *memberRun) peer(conn net.Conn, hook func(*peer, frame) bool) *peer {
-	return newPeer(conn, m.n.opts.HeartbeatInterval, m.n.opts.HeartbeatTimeout, hook)
 }
 
 // kill ends the session from any goroutine: the run is canceled and an
@@ -196,6 +200,11 @@ func (m *memberRun) close() {
 	m.over = true
 	in := m.in
 	m.mu.Unlock()
+	if m.batch != nil {
+		buf := m.batch[:0]
+		m.batch = nil
+		encodeBufs.Put(&buf)
+	}
 	m.p.close()
 	for _, p := range m.out {
 		if p != nil {
@@ -219,17 +228,16 @@ func (m *memberRun) accept(conn net.Conn, from int) error {
 		m.mu.Unlock()
 		return fmt.Errorf("cluster: the session of job %q has ended", m.key)
 	}
-	p := m.peer(conn, func(p *peer, f frame) bool {
+	p := startPeer(conn, m.n.opts.HeartbeatInterval, m.n.opts.HeartbeatTimeout, func(p *peer, f frame) {
 		if f.t != fBatch {
 			m.kill()
-			return true
+			return
 		}
 		select {
 		case m.from[from] <- f.payload:
 		case <-p.closed:
 		}
-		return true
-	})
+	}, nil)
 	m.in = append(m.in, p)
 	m.mu.Unlock()
 	<-p.done
@@ -247,10 +255,7 @@ func (m *memberRun) link(j int) (*peer, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.out[j] = m.peer(conn, func(*peer, frame) bool {
-			m.kill()
-			return true
-		})
+		m.out[j] = startPeer(conn, m.n.opts.HeartbeatInterval, m.n.opts.HeartbeatTimeout, func(*peer, frame) { m.kill() }, nil)
 		if err := m.out[j].send(fLink, linkMsg{Key: m.key, From: m.index}.encode()); err != nil {
 			return nil, err
 		}
@@ -285,6 +290,11 @@ func (m *memberRun) carryOut(x *par.Stopped, ops []planOp) error {
 		if err != nil {
 			m.kill()
 			return errSessionOver
+		}
+		if m.batch == nil {
+			if buf := encodeBufs.Get(); buf != nil {
+				m.batch = *buf
+			}
 		}
 		m.batch, m.sending = appendBatchHeader(m.batch[:0], m.job, op.Peer), op.Count
 		taken, err := x.Take(op.Count, m.give)

@@ -28,16 +28,18 @@ type peer struct {
 	timeout  time.Duration // per-frame read deadline
 	// hook, when non-nil, is shown every frame on the reader goroutine
 	// before the frame is queued, and a frame of type fInvalid when the
-	// conn dies (p.err says why). A frame it takes is not queued. This is
-	// how a frame gets where it is going in one wake-up: a member's engine,
-	// which looks at no channel between tasks, learns of a PHASE, a CANCEL
-	// or a lost coordinator; the coordinator's merged event stream and a
-	// member's batch slots are fed by the readers themselves, with no
-	// goroutine in between.
-	hook func(p *peer, f frame) (taken bool)
+	// conn dies (p.err says why). This is how a frame gets where it is
+	// going in one wake-up: a member's engine, which looks at no channel
+	// between tasks, learns of a PHASE, a CANCEL or a lost coordinator; the
+	// coordinator's merged event stream and a member's batch slots are fed
+	// by the readers themselves, with no goroutine in between.
+	hook func(p *peer, f frame)
 
 	wmu sync.Mutex
 
+	// inbox queues the frames for recv. It is nil on a peer whose hook is
+	// where every frame goes (startPeer): nothing is queued there, and
+	// recv reports only the conn's death.
 	inbox     chan frame
 	done      chan struct{} // closed by the reader on conn death
 	err       error         // why, set before done closes
@@ -46,13 +48,21 @@ type peer struct {
 	closeOnce sync.Once
 }
 
-func newPeer(conn net.Conn, interval, timeout time.Duration, hook func(*peer, frame) bool) *peer {
+// newPeer starts a peer whose frames are read through recv; hook, when
+// non-nil, sees each one first.
+func newPeer(conn net.Conn, interval, timeout time.Duration, hook func(*peer, frame)) *peer {
+	return startPeer(conn, interval, timeout, hook, make(chan frame, 64))
+}
+
+// startPeer starts a peer that queues its frames in inbox, or, when inbox
+// is nil, leaves every one to hook.
+func startPeer(conn net.Conn, interval, timeout time.Duration, hook func(*peer, frame), inbox chan frame) *peer {
 	p := &peer{
 		conn:     conn,
 		interval: interval,
 		timeout:  timeout,
 		hook:     hook,
-		inbox:    make(chan frame, 64),
+		inbox:    inbox,
 		done:     make(chan struct{}),
 		closed:   make(chan struct{}),
 	}
@@ -85,7 +95,10 @@ func (p *peer) read() {
 			p.fail(errors.New("cluster: peer sent a frame of type 0"))
 			return
 		}
-		if p.hook != nil && p.hook(p, frame{t, payload}) {
+		if p.hook != nil {
+			p.hook(p, frame{t, payload})
+		}
+		if p.inbox == nil {
 			continue
 		}
 		select {

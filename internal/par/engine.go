@@ -3,7 +3,7 @@
 package par
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -11,6 +11,7 @@ import (
 	"rips/internal/app"
 	"rips/internal/invariant"
 	"rips/internal/metrics"
+	"rips/internal/reuse"
 	"rips/internal/ripsrt"
 	"rips/internal/sched"
 	"rips/internal/topo"
@@ -55,9 +56,10 @@ import (
 // node is one task of the engine: what the deques, the system phase's
 // scratch and a thief's hand point at. The payload is data, or the
 // inline words w when data is nil (app.Spawn's contract). A node is one
-// cache line and is reused for as long as the run lasts:
+// cache line and is reused for as long as the run lasts, and by the runs
+// after it (see kit):
 //
-//	hand -> free list -> kids -> deque -> hand
+//	kit -> slab -> hand -> free list -> kids -> deque -> hand ... -> kit
 //
 // execute takes a node in hand, copies its payload out and threads it
 // onto the executing worker's free list before the task body runs; emit
@@ -78,11 +80,51 @@ type node struct {
 	next   *node // free-list link; meaningless anywhere else
 }
 
-// slabSize is the number of nodes a worker carves from one allocation
-// when its free list is empty. Nodes are never returned: a run buys
-// slabs until every worker's free list covers its own demand and then
-// stops allocating, however many tasks follow.
+// slabSize is the number of nodes a worker carves from one slab when its
+// free list is empty. Nodes are never returned within a run: it draws
+// slabs — from its kit, then from the allocator — until every worker's
+// free list covers its own demand and then stops, however many tasks
+// follow.
 const slabSize = 256
+
+// kit is everything a run buys whose size is the run's high-water mark
+// and whose content is dead when the run ends: the slabs its nodes are
+// carved from, each worker's deque ring at the size it grew to, and the
+// scratch a system phase's moves pass through. A run takes the most
+// recently retired kit when it starts (run) and uses it up before it
+// allocates; when it has run to completion it adds what it bought and
+// hands the kit on (retire). A warm process therefore runs a
+// job without buying memory, and what it holds between jobs is what the
+// jobs since the collector's last cycle used: idle kits are held weakly
+// (reuse.List), so one that no run takes is freed like any garbage.
+//
+// There is one kit per run and not one per worker: nodes retire where
+// they were executed, so a worker's private kit would grow to the largest
+// share any worker ever held, and the kits would sum to a multiple of the
+// frontier.
+//
+// Nothing in a kit refers to anything outside it. A node at rest has no
+// payload (execute, Stopped.Take), and the stale pointers a ring slot, a
+// free-list link or the scratch may hold are to nodes of the kit's own
+// slabs, which never leave it. They are harmless to the next run for the
+// reason they are harmless within one: a recycled ring starts over at
+// top = bottom = 0 in a new deque, which reads no slot outside
+// [top, bottom), a recycled node is written by emit before anything
+// reads it, and the workers of the run that left them — its thieves
+// included — have returned before the kit is handed on.
+type kit struct {
+	slabs [][]node
+	// drawn counts the slabs the run holding the kit has asked for; the
+	// first len(slabs) requests are served from slabs, which nobody
+	// modifies while the workers run.
+	drawn atomic.Int64
+	rings []*dequeRing // rings[i] was last worker i's
+	xfer  []*node
+}
+
+// kits are the idle kits of the process, for every kind of run alike: a
+// one-worker member may take what a four-worker Hybrid run left.
+var kits reuse.List[kit]
 
 // engineWorker is one worker's private state: a Chase-Lev deque the
 // workers of its domain may steal from, the free list and slab its task
@@ -127,8 +169,12 @@ type engineWorker struct {
 	// slab is the chunk nodes are carved from while free is empty,
 	// len(slab) of them so far. Only its owner appends (the phase leader
 	// too, for roots, with the world stopped). A full chunk is let go of
-	// here and lives on through its nodes.
-	slab []node
+	// here and lives on through its nodes, and in the kit or in bought:
+	// the slabs this worker allocated because the kit had no more, which
+	// join the kit when the run ends. carved counts the nodes.
+	slab   []node
+	bought [][]node
+	carved int
 	// scratch holds the inline payload of the task in hand: what Execute
 	// sees as its *app.Words, so the node itself is free for reuse.
 	scratch app.Words
@@ -141,8 +187,7 @@ type engineWorker struct {
 	// sweep is stealLocal bound to this worker once, so handing it to the
 	// detector as its poll on every drain allocates nothing; rng rotates
 	// the victims and never affects the answer. Both are nil on a worker
-	// without mates, which has nobody to steal from: seeding a source is
-	// a 5 KB allocation a sub-millisecond job would notice.
+	// without mates, which has nobody to steal from.
 	sweep  func() *node
 	rng    *rand.Rand
 	steals int64
@@ -156,15 +201,28 @@ func (w *engineWorker) newID() uint64 {
 	return packID(w.rank, w.seq)
 }
 
-// carve cuts a new node from the worker's slab, buying a slab when the
-// last one is used up. Only its owner calls it, or the phase leader with
-// the world stopped.
-func (w *engineWorker) carve() *node {
+// carve cuts a new node from w's slab. When that is used up the next one
+// comes from the run's kit — one atomic add per slabSize nodes is all the
+// workers share — and is bought once the kit has no more. Only w's owner
+// calls it, or the phase leader with the world stopped.
+func (r *engineRun) carve(w *engineWorker) *node {
 	if len(w.slab) == cap(w.slab) {
-		w.slab = make([]node, 0, slabSize) //ripslint:allow hotpath slab refill: only while the free list is empty, so a run stops buying slabs at its high-water mark (TestDequeExecutorAllocs pins it)
+		if i := int(r.kit.drawn.Add(1)) - 1; i < len(r.kit.slabs) {
+			w.slab = r.kit.slabs[i][:0]
+		} else {
+			w.slab = w.buy() //ripslint:allow hotpath slab refill: only while the free list is empty and the kit used up, so a run stops buying slabs at its high-water mark and a warm process buys none (TestDequeExecutorAllocs, TestWarmRunBuysNothing pin it)
+		}
 	}
+	w.carved++
 	w.slab = w.slab[:len(w.slab)+1]
 	return &w.slab[len(w.slab)-1]
+}
+
+// buy allocates a slab and lists it for the kit.
+func (w *engineWorker) buy() []node {
+	s := make([]node, 0, slabSize)
+	w.bought = append(w.bought, s)
+	return s
 }
 
 // release pushes the pending nodes onto the worker's own deque, where
@@ -259,6 +317,13 @@ type engineRun struct {
 	after []int
 	xfer  []*node
 
+	// kit is where the slabs, the rings and xfer come from and go back to:
+	// an empty one until run adopts the process's idle one, nil once the
+	// run has ended (retire). nodes is the number of nodes the run carved,
+	// recorded then.
+	kit   *kit
+	nodes int
+
 	// det is the ANY transfer detector (see detector.go).
 	det *detector
 }
@@ -276,6 +341,7 @@ func newEngineRun(cfg *Config) *engineRun {
 		bar:    newEpochBarrier(n),
 		member: cfg.member,
 		start:  time.Now(),
+		kit:    new(kit),
 	}
 	var cpus [][]int
 	switch {
@@ -338,14 +404,14 @@ func newEngineRun(cfg *Config) *engineRun {
 				if nd != nil {
 					w.free = nd.next
 				} else {
-					nd = w.carve()
+					nd = r.carve(w)
 				}
 				nd.id, nd.origin, nd.w, nd.data = w.newID(), w.home, sp.W, sp.Data
 				w.generated++
 				w.kids = append(w.kids, nd) //ripslint:allow hotpath kids keeps its capacity across tasks and, under Eager, across phases; growth stops at the widest fan-out (TestDequeExecutorAllocs pins it)
 			}
 			if mates {
-				w.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b9))
+				w.rng = rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(i)))
 				w.sweep = func() *node { return r.stealLocal(w) }
 			}
 			r.workers = append(r.workers, w)
@@ -357,6 +423,7 @@ func newEngineRun(cfg *Config) *engineRun {
 // run stages the first round's roots and runs the workers on d to the
 // end of the run, for any strategy.
 func (r *engineRun) run(d driver) (Result, error) {
+	r.adopt()
 	r.loadRoots(0)
 	if r.cfg.Cancel != nil {
 		stop := watchCancel(r.cfg.Cancel, &r.cancel)
@@ -367,6 +434,7 @@ func (r *engineRun) run(d driver) (Result, error) {
 	r.start = start
 	d.dispatch(r.n, r.workerMain)
 	wall := time.Since(start)
+	r.retire()
 
 	res := Result{Workers: r.n, Wall: wall, Domains: r.classes, Canceled: r.stopped}
 	if !r.steal {
@@ -400,6 +468,53 @@ func (r *engineRun) run(d driver) (Result, error) {
 	}
 	res.Idle = max(0, wall-res.Overhead-res.Busy/time.Duration(r.n))
 	return res, r.err
+}
+
+// adopt replaces the empty kit the run was built with by the most
+// recently retired one, if the process has one idle: the scratch, and a
+// ring under every deque the kit has one for. It is run's first step and
+// not newEngineRun's, so that a run that is built and never started —
+// a member whose session dies first, a phase measurement — takes no
+// kit it would not give back. The deques are empty and nobody operates
+// on them yet.
+func (r *engineRun) adopt() {
+	k := kits.Get()
+	if k == nil {
+		return
+	}
+	k.drawn.Store(0)
+	r.kit, r.xfer = k, k.xfer
+	for i, w := range r.workers[:min(r.n, len(k.rings))] {
+		w.d.buf.Store(k.rings[i])
+	}
+}
+
+// retire ends the run's use of its kit, once the workers have returned.
+// The kit takes the slabs the run bought, the rings as they are now and
+// the scratch, and the run lets go of all of it — free lists, slabs,
+// rings, pending lists — so that a finished run still referred to holds
+// no node the next run is writing, and none of the application's payloads
+// either. The kit is handed on only by a run that completed: the tasks a
+// canceled run, a failed one or a member whose exchange gave up abandons
+// in its deques carry payloads that are the application's to free, and a
+// run that ended on an error has declared its own state inconsistent, so
+// such a run's kit is dropped with it.
+func (r *engineRun) retire() {
+	k, left := r.kit, 0
+	for len(k.rings) < r.n {
+		k.rings = append(k.rings, nil)
+	}
+	for i, w := range r.workers {
+		left += int(w.d.size())
+		r.nodes += w.carved
+		k.slabs = append(k.slabs, w.bought...)
+		k.rings[i] = w.d.buf.Swap(nil)
+		w.free, w.slab, w.bought, w.kids = nil, nil, nil, nil
+	}
+	k.xfer, r.xfer, r.kit = r.xfer, nil, nil
+	if left == 0 && !r.stopped && r.err == nil {
+		kits.Put(k)
+	}
 }
 
 // loadRoots stages a round's root tasks: block-distributed apps start
@@ -554,7 +669,7 @@ func (r *engineRun) stealLocal(w *engineWorker) *node {
 	if n < 2 {
 		return nil
 	}
-	off := w.rng.Intn(n) //ripslint:allow hotpath victim rotation on the worker's private source: arithmetic on its own state, no allocation, no lock
+	off := w.rng.IntN(n) //ripslint:allow hotpath victim rotation on the worker's private source: arithmetic on its own state, no allocation, no lock
 	for k := 0; k < n; k++ {
 		v := r.workers[dom.lo+(off+k)%n]
 		if v == w {

@@ -157,8 +157,8 @@ func (x *Stopped) AckTransfer() { x.acked++ }
 // its id, origin and payload — Spawn.Data, or a pointer to the node's
 // inline words, valid during the call — and retires the nodes to the
 // workers' free lists, an even share each. It returns how many tasks it
-// removed; after an error from visit the rest are dropped, and the run
-// is not to be resumed.
+// removed; after an error from visit the rest are dropped, payloads let
+// go of, and the run is not to be resumed.
 func (x *Stopped) Take(n int, visit func(id uint64, origin int, payload any) error) (int, error) {
 	r := x.r
 	seg := r.takeMove(sched.Move{Count: min(n, x.Load())})
@@ -169,6 +169,9 @@ func (x *Stopped) Take(n int, visit func(id uint64, origin int, payload any) err
 			payload = &nd.w
 		}
 		if err := visit(nd.id, nd.origin, payload); err != nil {
+			for _, nd := range seg[i:] {
+				nd.data = nil
+			}
 			return len(seg), err
 		}
 		w := r.workers[i*r.n/len(seg)]
@@ -191,7 +194,7 @@ func (x *Stopped) Stage(id uint64, origin int) *app.Words {
 		}
 	}
 	if nd == nil {
-		nd = r.workers[0].carve()
+		nd = r.carve(r.workers[0])
 	}
 	nd.id, nd.origin, nd.data = id, origin, nil
 	r.xfer = append(r.xfer[:x.staged], nd)

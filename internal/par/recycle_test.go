@@ -152,9 +152,11 @@ func TestRecycleExactlyOnce(t *testing.T) {
 
 // TestRecycleReleasesPayload: a node at rest pins nothing of the
 // application's. Every Data payload of a finished run must be
-// collectable while the run — its workers, their free lists, the deque
-// rings and the phase scratch with whatever stale pointers they hold —
-// is still reachable.
+// collectable while the run and the kit it retired — the slabs with
+// every node the run used, the deque rings and the phase scratch with
+// whatever stale pointers they hold — are still reachable. The kit is
+// held here and not only by the weak list, where the collection that
+// frees the payloads would free it too and prove nothing.
 func TestRecycleReleasesPayload(t *testing.T) {
 	for _, cfg := range []Config{
 		{Strategy: Steal},
@@ -165,14 +167,27 @@ func TestRecycleReleasesPayload(t *testing.T) {
 			a.tasks += n
 		}
 		cfg.Topo, cfg.App = topo.NewMesh(1, 2), a
+		dropIdleKits() // so the run keeps the kit it is built with
 		r := newEngineRun(&cfg)
+		k := r.kit
 		res, err := r.run(goDriver{})
 		if err != nil || res.Executed != a.tasks {
 			t.Fatalf("%s: executed %d of %d tasks: %v", cfg.Strategy, res.Executed, a.tasks, err)
 		}
+		if len(k.slabs) == 0 || len(k.rings) != r.n {
+			t.Fatalf("%s: the retired kit has %d slabs and %d rings", cfg.Strategy, len(k.slabs), len(k.rings))
+		}
 		runtime.GC() // finds the payloads unreachable and queues their finalizers
-		within(t, a.freed, cfg.Strategy.String()+": every payload finalized with the run still reachable")
+		within(t, a.freed, cfg.Strategy.String()+": every payload finalized with the run and its kit still reachable")
+		for _, slab := range k.slabs {
+			for _, nd := range slab[:cap(slab)] {
+				if nd.data != nil {
+					t.Fatalf("%s: a node of the retired kit still holds a payload", cfg.Strategy)
+				}
+			}
+		}
 		runtime.KeepAlive(r)
+		runtime.KeepAlive(k)
 	}
 }
 

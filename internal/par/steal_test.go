@@ -239,20 +239,6 @@ func TestStealIdleThiefLeavesOnAbort(t *testing.T) {
 	}
 }
 
-// nodesCarved counts the task nodes of a finished run. Every task has
-// executed, so every node the run ever carved is on the free list of
-// the worker that executed its last task: the total is the run's node
-// high-water mark, summed over its workers.
-func nodesCarved(r *engineRun) int {
-	n := 0
-	for _, w := range r.workers {
-		for nd := w.free; nd != nil; nd = nd.next {
-			n++
-		}
-	}
-	return n
-}
-
 // mallocsOf runs f and returns the number of heap objects the process
 // allocated meanwhile.
 func mallocsOf(f func()) uint64 {
@@ -308,7 +294,7 @@ func TestDequeExecutorAllocs(t *testing.T) {
 		if err != nil || res.Executed != tasks {
 			t.Fatalf("%s: executed %d of %d tasks: %v", c.name, res.Executed, tasks, err)
 		}
-		nodes := nodesCarved(r)
+		nodes := r.nodes // the run's node high-water mark, summed over its workers
 		t.Logf("%s: %d tasks on %d nodes, %d allocations, %d phases", c.name, tasks, nodes, mallocs, res.Phases)
 		if limit := uint64(perRun + perPhase*int(res.Phases) + nodes/slabSize); mallocs > limit {
 			t.Errorf("%s: %d allocations for %d tasks on %d nodes in %d phases, want at most %d (%d + %d per phase + one per %d nodes)",
