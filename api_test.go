@@ -84,105 +84,17 @@ func isDefinedBackend(b rips.Backend) bool {
 	return false
 }
 
-// TestNewConfigOptions covers the functional-options constructor: a
-// valid assembly, per-option eager validation, and the cross-field
-// checks (Steal on Simulate) that only the final Validate can see.
-func TestNewConfigOptions(t *testing.T) {
-	cfg, err := rips.NewConfig(
-		rips.WithWorkers(8),
-		rips.WithBackend(rips.Parallel),
-		rips.WithAlgorithm(rips.RIPS),
-		rips.WithEager(),
-		rips.WithSeed(7),
-		rips.WithDetectInterval(time.Millisecond),
-	)
-	if err != nil {
-		t.Fatalf("NewConfig: %v", err)
-	}
-	if cfg.Procs != 8 || cfg.Backend != rips.Parallel || !cfg.Eager || cfg.Seed != 7 {
-		t.Errorf("NewConfig assembled %+v", cfg)
-	}
-	hcfg, err := rips.NewConfig(
-		rips.WithWorkers(4),
-		rips.WithBackend(rips.Hybrid),
-		rips.WithDomains(2),
-	)
-	if err != nil {
-		t.Fatalf("NewConfig(hybrid): %v", err)
-	}
-	if hcfg.Backend != rips.Hybrid || hcfg.Domains != 2 {
-		t.Errorf("NewConfig assembled hybrid %+v", hcfg)
-	}
-
-	for _, tc := range []struct {
-		name string
-		opts []rips.Option
-		want string
-	}{
-		{"zero workers", []rips.Option{rips.WithWorkers(0)}, "at least one worker"},
-		{"bad topology", []rips.Option{rips.WithTopology("torus")}, "unknown topology"},
-		{"bad algorithm", []rips.Option{rips.WithAlgorithm(rips.Algorithm(99))}, "unknown algorithm"},
-		{"bad backend", []rips.Option{rips.WithBackend(rips.Backend(99))}, "unknown backend"},
-		{"bad mesh", []rips.Option{rips.WithMesh(0, 4)}, "must be positive"},
-		{"bad periodic", []rips.Option{rips.WithPeriodic(-1)}, "must be positive"},
-		{"bad rid factor", []rips.Option{rips.WithRIDUpdateFactor(2)}, "factor must be in"},
-		{"nil hook", []rips.Option{rips.WithOnPhase(nil)}, "must not be nil"},
-		{"nil pool", []rips.Option{rips.WithPool(nil)}, "must not be nil"},
-		{
-			"steal on simulate",
-			[]rips.Option{rips.WithWorkers(4), rips.WithAlgorithm(rips.Steal)},
-			"steal algorithm runs only on the Parallel backend",
-		},
-		{
-			"gradient on parallel",
-			[]rips.Option{rips.WithWorkers(4), rips.WithBackend(rips.Parallel), rips.WithAlgorithm(rips.Gradient)},
-			"runs only on the Simulate backend",
-		},
-		{
-			"periodic on parallel",
-			[]rips.Option{rips.WithWorkers(4), rips.WithBackend(rips.Parallel), rips.WithPeriodic(rips.Millisecond)},
-			"periodic detector is not available",
-		},
-		{
-			"hypercube size",
-			[]rips.Option{rips.WithWorkers(6), rips.WithTopology("hypercube")},
-			"power-of-two",
-		},
-		{"bad domains", []rips.Option{rips.WithDomains(-1)}, "non-negative"},
-		{
-			"domains on parallel",
-			[]rips.Option{rips.WithWorkers(4), rips.WithBackend(rips.Parallel), rips.WithDomains(2)},
-			"only to the Hybrid backend",
-		},
-		{
-			"steal on hybrid",
-			[]rips.Option{rips.WithWorkers(4), rips.WithBackend(rips.Hybrid), rips.WithAlgorithm(rips.Steal)},
-			"must be RIPS",
-		},
-		{
-			"periodic on hybrid",
-			[]rips.Option{rips.WithWorkers(4), rips.WithBackend(rips.Hybrid), rips.WithPeriodic(rips.Millisecond)},
-			"periodic detector is not available",
-		},
-	} {
-		_, err := rips.NewConfig(tc.opts...)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
-}
-
 // TestResultJSONRoundTrip checks Encode/Decode is lossless through an
 // actual JSON marshal, and that the schema field gates decoding.
 func TestResultJSONRoundTrip(t *testing.T) {
 	cfg := rips.Config{
-		Procs:          16,
-		Topology:       "tree",
-		Algorithm:      rips.Steal,
-		Backend:        rips.Parallel,
-		Eager:          true,
-		DetectInterval: 3 * time.Millisecond,
-		Seed:           42,
+		Procs:     16,
+		Topology:  "tree",
+		Algorithm: rips.Steal,
+		Backend:   rips.Parallel,
+		Eager:     true,
+		Timeout:   3 * time.Millisecond,
+		Seed:      42,
 	}
 	res := rips.Result{
 		Time:       rips.Millisecond,
@@ -327,8 +239,7 @@ func TestStealTimeout(t *testing.T) {
 	}
 }
 
-// TestRunContextCompletes checks an uncanceled context changes nothing
-// and Run remains a working wrapper.
+// TestRunContextCompletes checks an uncanceled context changes nothing.
 func TestRunContextCompletes(t *testing.T) {
 	res, err := rips.RunContext(context.Background(), rips.NQueens(8), rips.Config{Procs: 4})
 	if err != nil {
@@ -336,13 +247,6 @@ func TestRunContextCompletes(t *testing.T) {
 	}
 	if res.Canceled || res.AppResult != 92 {
 		t.Errorf("Canceled=%v AppResult=%d, want false/92", res.Canceled, res.AppResult)
-	}
-	legacy, err := rips.Run(rips.NQueens(8), rips.Config{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != res {
-		t.Errorf("Run and RunContext disagree:\n got %+v\nwant %+v", legacy, res)
 	}
 }
 

@@ -5,6 +5,11 @@ import (
 	"time"
 
 	"rips"
+	"rips/internal/app"
+	"rips/internal/apps/nqueens"
+	"rips/internal/par"
+	"rips/internal/ripsrt"
+	"rips/internal/topo"
 )
 
 // TestParallelBackend runs the real shared-memory backend through the
@@ -14,7 +19,7 @@ func TestParallelBackend(t *testing.T) {
 	a := rips.NQueens(10)
 	p := rips.Measure(a)
 	for _, alg := range []rips.Algorithm{rips.RIPS, rips.Steal} {
-		res, err := rips.RunProfiled(a, p, rips.Config{Procs: 4, Backend: rips.Parallel, Algorithm: alg, Seed: 1})
+		res, err := rips.RunProfiledContext(t.Context(), a, p, rips.Config{Procs: 4, Backend: rips.Parallel, Algorithm: alg, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -44,7 +49,7 @@ func TestParallelBackend(t *testing.T) {
 func TestHybridBackend(t *testing.T) {
 	a := rips.NQueens(10)
 	p := rips.Measure(a)
-	res, err := rips.RunProfiled(a, p, rips.Config{Procs: 4, Backend: rips.Hybrid, Domains: 2, Seed: 1})
+	res, err := rips.RunProfiledContext(t.Context(), a, p, rips.Config{Procs: 4, Backend: rips.Hybrid, Domains: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestHybridBackend(t *testing.T) {
 	}
 
 	// Domains zero auto-detects and reports what it resolved to.
-	res, err = rips.RunProfiled(a, p, rips.Config{Procs: 4, Backend: rips.Hybrid})
+	res, err = rips.RunProfiledContext(t.Context(), a, p, rips.Config{Procs: 4, Backend: rips.Hybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func TestParallelBackendPolicyKnobs(t *testing.T) {
 		{Procs: 7, Backend: rips.Hybrid, Domains: 2, Topology: "tree"},
 		{Procs: 8, Backend: rips.Hybrid, Domains: 2, Topology: "hypercube"},
 	} {
-		res, err := rips.Run(a, cfg)
+		res, err := rips.RunContext(t.Context(), a, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -98,44 +103,44 @@ func TestParallelBackendPolicyKnobs(t *testing.T) {
 // TestParallelBackendErrors pins the invalid backend/algorithm combos.
 func TestParallelBackendErrors(t *testing.T) {
 	a := rips.NQueens(8)
-	if _, err := rips.Run(a, rips.Config{Procs: 4, Algorithm: rips.Steal}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 4, Algorithm: rips.Steal}); err == nil {
 		t.Error("steal on the simulator accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 4, Backend: rips.Parallel, Algorithm: rips.Random}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 4, Backend: rips.Parallel, Algorithm: rips.Random}); err == nil {
 		t.Error("random baseline on the Parallel backend accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 4, Backend: rips.Parallel, Periodic: rips.Millisecond}); err == nil {
-		t.Error("periodic detector on the Parallel backend accepted")
-	}
-	if _, err := rips.Run(a, rips.Config{Procs: 4, Backend: rips.Hybrid, Algorithm: rips.Steal}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 4, Backend: rips.Hybrid, Algorithm: rips.Steal}); err == nil {
 		t.Error("steal algorithm on the Hybrid backend accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 4, Backend: rips.Parallel, Domains: 2}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 4, Backend: rips.Parallel, Domains: 2}); err == nil {
 		t.Error("Domains on the Parallel backend accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 4, Domains: -1, Backend: rips.Hybrid}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 4, Domains: -1, Backend: rips.Hybrid}); err == nil {
 		t.Error("negative Domains accepted")
 	}
 }
 
 // TestZeroBackoffTerminates is the regression test for the detector
 // throttles: with the backoff disabled entirely (negative = zero
-// wait), both backends must still terminate with the right answer —
+// wait), both engines must still terminate with the right answer —
 // the phase-indexed transfer requests guarantee progress even when
-// every drained node initiates instantly.
+// every drained node initiates instantly. The throttles are engine
+// knobs (ripsrt.Config.InitBackoff, par.Config.DetectInterval), not
+// rips.Config fields, so the test drives the engines directly.
 func TestZeroBackoffTerminates(t *testing.T) {
-	a := rips.NQueens(9)
-	p := rips.Measure(a)
+	a := nqueens.New(9, 4)
+	p := app.Measure(a)
+	mesh := topo.NewMesh(2, 4)
 
-	res, err := rips.RunProfiled(a, p, rips.Config{Procs: 8, InitBackoff: -1})
+	res, err := ripsrt.Run(ripsrt.Config{Topo: mesh, App: a, InitBackoff: -1})
 	if err != nil {
 		t.Fatalf("simulate with zero backoff: %v", err)
 	}
-	if res.Tasks != int64(p.Tasks) {
-		t.Errorf("simulate with zero backoff: tasks %d, want %d", res.Tasks, p.Tasks)
+	if res.Executed != int64(p.Tasks) {
+		t.Errorf("simulate with zero backoff: tasks %d, want %d", res.Executed, p.Tasks)
 	}
 	// Zero backoff means more (emptier) phases, never fewer tasks.
-	thr, err := rips.RunProfiled(a, p, rips.Config{Procs: 8})
+	thr, err := ripsrt.Run(ripsrt.Config{Topo: mesh, App: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +148,13 @@ func TestZeroBackoffTerminates(t *testing.T) {
 		t.Errorf("zero backoff ran %d phases, throttled ran %d", res.Phases, thr.Phases)
 	}
 
-	pres, err := rips.RunProfiled(a, p, rips.Config{Procs: 4, Backend: rips.Parallel, DetectInterval: -time.Nanosecond})
+	pres, err := par.Run(par.Config{Topo: topo.NewMesh(2, 2), App: a, DetectInterval: -time.Nanosecond})
 	if err != nil {
 		t.Fatalf("parallel with zero detect interval: %v", err)
 	}
-	if pres.Tasks != int64(p.Tasks) || pres.AppResult != p.Result {
+	if pres.Executed != int64(p.Tasks) || pres.AppResult != p.Result {
 		t.Errorf("parallel with zero detect interval: tasks %d result %d, want %d and %d",
-			pres.Tasks, pres.AppResult, p.Tasks, p.Result)
+			pres.Executed, pres.AppResult, p.Tasks, p.Result)
 	}
 }
 

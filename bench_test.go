@@ -182,7 +182,7 @@ func BenchmarkRIPSQueens(b *testing.B) {
 	p := rips.Measure(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rips.RunProfiled(a, p, rips.Config{Procs: 16, Seed: 1}); err != nil {
+		if _, err := rips.RunProfiledContext(b.Context(), a, p, rips.Config{Procs: 16, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package rips_test
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,27 +11,62 @@ import (
 	"rips"
 )
 
+// TestConfigValidate pins Config.Validate's checks for the in-process
+// backends: machine shape, enum ranges, and the algorithm/backend
+// cross-checks.
+func TestConfigValidate(t *testing.T) {
+	for _, valid := range []rips.Config{
+		{Procs: 8, Backend: rips.Parallel, Eager: true, Seed: 7},
+		{Procs: 4, Backend: rips.Hybrid, Domains: 2},
+		{Rows: 2, Cols: 3, Algorithm: rips.RID, Timeout: time.Second},
+	} {
+		if err := valid.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", valid, err)
+		}
+	}
+
+	cases := []rejectCase{
+		{"zero procs", rips.Config{}, "Procs must be positive"},
+		{"bad mesh", rips.Config{Rows: 0, Cols: 4}, "must both be positive"},
+		{"bad topology", rips.Config{Procs: 4, Topology: "torus"}, "unknown topology"},
+		{"unknown algorithm", rips.Config{Procs: 4, Algorithm: rips.Algorithm(99)}, "unknown algorithm"},
+		{"unknown backend", rips.Config{Procs: 4, Backend: rips.Backend(99)}, "unknown backend"},
+		{"steal on simulate", rips.Config{Procs: 4, Algorithm: rips.Steal}, "steal algorithm runs only on the Parallel backend"},
+		{"gradient on parallel", rips.Config{Procs: 4, Backend: rips.Parallel, Algorithm: rips.Gradient}, "runs only on the Simulate backend"},
+		{"hypercube size", rips.Config{Procs: 6, Topology: "hypercube"}, "power-of-two"},
+		{"negative domains", rips.Config{Procs: 4, Backend: rips.Hybrid, Domains: -1}, "non-negative"},
+		{"domains on parallel", rips.Config{Procs: 4, Backend: rips.Parallel, Domains: 2}, "only to the Hybrid backend"},
+		{"steal on hybrid", rips.Config{Procs: 4, Backend: rips.Hybrid, Algorithm: rips.Steal}, "must be RIPS"},
+	}
+	checkRejects(t, cases)
+}
+
 // TestClusterConfigValidate pins the Cluster backend's cross-checks:
 // the cluster runs the phase protocol only, across processes — so no
-// Steal variant, no periodic detector, no local pool, no affinity
-// domains.
+// Steal variant, no local pool, no affinity domains.
 func TestClusterConfigValidate(t *testing.T) {
 	valid := rips.Config{Procs: 4, Backend: rips.Cluster}
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("minimal cluster config rejected: %v", err)
 	}
-
-	cases := []struct {
-		name string
-		cfg  rips.Config
-		want string
-	}{
+	checkRejects(t, []rejectCase{
 		{"steal algorithm", rips.Config{Procs: 4, Backend: rips.Cluster, Algorithm: rips.Steal}, "Algorithm must be RIPS"},
-		{"periodic detector", rips.Config{Procs: 4, Backend: rips.Cluster, Periodic: rips.Time(1)}, "periodic detector"},
 		{"local pool", rips.Config{Procs: 4, Backend: rips.Cluster, Pool: mustPool(t, 2)}, "not a local worker pool"},
 		{"domains", rips.Config{Procs: 4, Backend: rips.Cluster, Domains: 2}, "Hybrid backend"},
 		{"negative timeout", rips.Config{Procs: 4, Backend: rips.Cluster, Timeout: -time.Second}, "Timeout"},
-	}
+	})
+}
+
+type rejectCase struct {
+	name string
+	cfg  rips.Config
+	want string
+}
+
+// checkRejects asserts Validate refuses every case with an error
+// naming its want substring.
+func checkRejects(t *testing.T, cases []rejectCase) {
+	t.Helper()
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
 		if err == nil {
@@ -56,11 +92,8 @@ func mustPool(t *testing.T, n int) *rips.Pool {
 // TestRunRefusesCluster pins that the in-process entry points refuse
 // cluster configs with a pointer at the right front door.
 func TestRunRefusesCluster(t *testing.T) {
-	cfg, err := rips.NewConfig(rips.WithWorkers(4), rips.WithBackend(rips.Cluster))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = rips.RunContext(context.Background(), rips.NQueens(6), cfg)
+	cfg := rips.Config{Procs: 4, Backend: rips.Cluster}
+	_, err := rips.RunContext(context.Background(), rips.NQueens(6), cfg)
 	if err == nil {
 		t.Fatal("RunContext executed a cluster config in-process")
 	}
@@ -69,35 +102,57 @@ func TestRunRefusesCluster(t *testing.T) {
 	}
 }
 
-// TestOptionsConfigRoundTrip is the options ↔ wire-config property
-// test: a Config assembled from the full option surface must survive
-// EncodeConfig → Decode bit for bit, Timeout included — the document a
-// ripsd stores or a cluster peer receives reconstructs the exact
-// configuration the options built.
-func TestOptionsConfigRoundTrip(t *testing.T) {
-	cfg, err := rips.NewConfig(
-		rips.WithMesh(2, 3),
-		rips.WithAlgorithm(rips.RIPS),
-		rips.WithBackend(rips.Cluster),
-		rips.WithEager(),
-		rips.WithAll(),
-		rips.WithRIDUpdateFactor(0.5),
-		rips.WithInitBackoff(rips.Time(2000)),
-		rips.WithTimeout(3*time.Second),
-		rips.WithSeed(42),
-	)
+// TestConfigJSONMirrorsConfig pins the wire schema to the struct:
+// every Config field but the process-local OnPhase and Pool has a
+// ConfigJSON twin (same name, or name+"NS" for a duration), and a
+// Config with every such field non-zero survives EncodeConfig → JSON
+// → Decode bit for bit. A knob added to one side only fails here.
+func TestConfigJSONMirrorsConfig(t *testing.T) {
+	local := map[string]bool{"OnPhase": true, "Pool": true}
+	wire := reflect.TypeOf(rips.ConfigJSON{})
+	var cfg rips.Config
+	v := reflect.ValueOf(&cfg).Elem()
+	twins := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if local[f.Name] {
+			continue
+		}
+		_, same := wire.FieldByName(f.Name)
+		_, ns := wire.FieldByName(f.Name + "NS")
+		if !same && !ns {
+			t.Errorf("Config.%s has no ConfigJSON twin", f.Name)
+		}
+		twins++
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int, reflect.Int64:
+			fv.SetInt(2) // Algorithm(2) and Backend(2) are defined constants
+		case reflect.String:
+			fv.SetString("tree")
+		case reflect.Bool:
+			fv.SetBool(true)
+		default:
+			t.Fatalf("Config.%s: no non-zero value for kind %v", f.Name, fv.Kind())
+		}
+	}
+	if wire.NumField() != twins {
+		t.Errorf("ConfigJSON has %d fields, Config has %d wire-able ones", wire.NumField(), twins)
+	}
+
+	raw, err := json.Marshal(rips.EncodeConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rips.EncodeConfig(cfg).Decode()
+	var back rips.ConfigJSON
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("round-trip:\n got %+v\nwant %+v", got, cfg)
-	}
-	if got.Timeout != 3*time.Second {
-		t.Errorf("Timeout lost in transit: %v", got.Timeout)
 	}
 }
 
@@ -149,6 +204,13 @@ func TestJobSpecEncodeDecode(t *testing.T) {
 		if _, err := rips.DecodeJobSpec([]byte(body)); err == nil {
 			t.Errorf("%s: decoder accepted %s", name, body)
 		}
+	}
+
+	// A key outside the schema fails and the error names it, so a
+	// client still sending a detector knob learns which one is refused.
+	if _, err := rips.DecodeJobSpec([]byte(`{"app": "nq", "config": {"periodic_ns": 1000000}}`)); err == nil ||
+		!strings.Contains(err.Error(), "periodic_ns") {
+		t.Errorf("retired key: err = %v, want an error naming periodic_ns", err)
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 // twin of one ripsd job submission:
 //
 //	ripsbench run [-app nq|ida|gromos] [-n N] [-procs N] [-topo T]
-//	              [-alg A] [-backend B] [-eager] [-all] [-detect D]
-//	              [-timeout D] [-seed N] [-json PATH]
+//	              [-alg A] [-backend B] [-eager] [-all] [-timeout D]
+//	              [-seed N] [-json PATH]
 //
 // It parses the algorithm and backend with the same ParseAlgorithm/
-// ParseBackend the server uses, assembles the configuration through
-// rips.NewConfig (so a bad combination errors here, not mid-run), runs
-// via rips.RunContext (-timeout is Config.Timeout), and with -json
-// emits the same rips-result/v1 document ripsd streams ("-" for
+// ParseBackend the server uses, runs the rips.Config literal via
+// rips.RunContext (which validates it before committing anything;
+// -timeout is Config.Timeout), and with -json emits the same rips-result/v1 document ripsd streams ("-" for
 // stdout), so a CLI run and a served run are comparable byte for byte.
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
@@ -34,7 +33,6 @@ func runCmd(args []string) error {
 	backendName := fs.String("backend", "simulate", "backend: simulate, parallel or hybrid")
 	eager := fs.Bool("eager", false, "RIPS eager local policy")
 	all := fs.Bool("all", false, "RIPS ALL global policy")
-	detect := fs.Duration("detect", 0, "parallel-backend detector interval (0 adapts)")
 	timeout := fs.Duration("timeout", 0, "cancel the run after this long (0 means no limit)")
 	runSeed := fs.Int64("seed", 1, "reproducibility seed")
 	jsonPath := fs.String("json", "", "write the rips-result/v1 document to this path (\"-\" for stdout)")
@@ -54,28 +52,15 @@ func runCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []rips.Option{
-		rips.WithWorkers(*procs),
-		rips.WithTopology(*topoName),
-		rips.WithAlgorithm(alg),
-		rips.WithBackend(backend),
-		rips.WithSeed(*runSeed),
-	}
-	if *eager {
-		opts = append(opts, rips.WithEager())
-	}
-	if *all {
-		opts = append(opts, rips.WithAll())
-	}
-	if *detect != 0 {
-		opts = append(opts, rips.WithDetectInterval(*detect))
-	}
-	if *timeout != 0 {
-		opts = append(opts, rips.WithTimeout(*timeout))
-	}
-	cfg, err := rips.NewConfig(opts...)
-	if err != nil {
-		return err
+	cfg := rips.Config{
+		Procs:     *procs,
+		Topology:  *topoName,
+		Algorithm: alg,
+		Backend:   backend,
+		Eager:     *eager,
+		All:       *all,
+		Timeout:   *timeout,
+		Seed:      *runSeed,
 	}
 
 	res, runErr := rips.RunContext(context.Background(), a, cfg)

@@ -75,14 +75,7 @@ func main() {
 		q.Name(), profile.Tasks, profile.Work)
 
 	for _, alg := range []rips.Algorithm{rips.RIPS, rips.Random, rips.RID} {
-		cfg, err := rips.NewConfig(
-			rips.WithWorkers(16),
-			rips.WithAlgorithm(alg),
-			rips.WithSeed(3),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := rips.Config{Procs: 16, Algorithm: alg, Seed: 3}
 		res, err := rips.RunProfiledContext(context.Background(), q, profile, cfg)
 		if err != nil {
 			log.Fatal(err)

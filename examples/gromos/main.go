@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	for _, cutoff := range []float64{8, 12, 16} {
 		md := rips.MolecularDynamics(cutoff)
 		profile := rips.Measure(md)
-		res, err := rips.RunProfiled(md, profile, rips.Config{Procs: 32})
+		res, err := rips.RunProfiledContext(context.Background(), md, profile, rips.Config{Procs: 32})
 		if err != nil {
 			log.Fatal(err)
 		}

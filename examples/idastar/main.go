@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	}
 
 	for _, procs := range []int{16, 32} {
-		res, err := rips.RunProfiled(puzzle, profile, rips.Config{Procs: procs})
+		res, err := rips.RunProfiledContext(context.Background(), puzzle, profile, rips.Config{Procs: procs})
 		if err != nil {
 			log.Fatal(err)
 		}

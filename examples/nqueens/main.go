@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	fmt.Printf("%-9s %9s %8s %8s %8s %5s\n", "sched", "nonlocal", "Th", "Ti", "T", "eff")
 
 	for _, alg := range []rips.Algorithm{rips.Random, rips.Gradient, rips.RID, rips.RIPS} {
-		res, err := rips.RunProfiled(queens, profile, rips.Config{Procs: 32, Algorithm: alg})
+		res, err := rips.RunProfiledContext(context.Background(), queens, profile, rips.Config{Procs: 32, Algorithm: alg})
 		if err != nil {
 			log.Fatal(err)
 		}

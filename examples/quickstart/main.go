@@ -38,10 +38,7 @@ func main() {
 	queens := rips.NQueens(11)
 	profile := rips.Measure(queens)
 	for _, alg := range []rips.Algorithm{rips.RIPS, rips.Random} {
-		cfg, err := rips.NewConfig(rips.WithWorkers(16), rips.WithAlgorithm(alg))
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := rips.Config{Procs: 16, Algorithm: alg}
 		res, err := rips.RunProfiledContext(context.Background(), queens, profile, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -86,9 +86,9 @@ func (p *Pool) Workers() int { return p.p.Workers() }
 func (p *Pool) Free() int { return p.p.Free() }
 
 // Split leases n workers out of the root pool's free set as a
-// sub-pool usable anywhere a *Pool is (Config.Pool, WithPool). It
-// never blocks: if fewer than n workers are free the lease is refused,
-// so an admission scheduler can decide to queue or preempt instead of
+// sub-pool usable anywhere a *Pool is (Config.Pool). It never blocks:
+// if fewer than n workers are free the lease is refused, so an
+// admission scheduler can decide to queue or preempt instead of
 // deadlocking on capacity.
 func (p *Pool) Split(n int) (*Pool, error) {
 	sub, err := p.p.Split(n)

@@ -1,7 +1,6 @@
 package rips_test
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -36,23 +35,15 @@ func TestPoolDomains(t *testing.T) {
 		t.Fatalf("sub-pool Domains() = %d, want the root's 2", sub.Domains())
 	}
 
-	cfg, err := rips.NewConfig(
-		rips.WithWorkers(4),
-		rips.WithBackend(rips.Hybrid),
-		rips.WithDomains(2),
-		rips.WithPool(sub),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := rips.Config{Procs: 4, Backend: rips.Hybrid, Domains: 2, Pool: sub}
 	a := rips.NQueens(8)
-	got, err := rips.Run(a, cfg)
+	got, err := rips.RunContext(t.Context(), a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := cfg
 	bare.Pool = nil
-	want, err := rips.Run(a, bare)
+	want, err := rips.RunContext(t.Context(), a, bare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +121,7 @@ func TestPoolLeaseEdgeCases(t *testing.T) {
 	if free := pool.Free(); free != 4 {
 		t.Fatalf("free = %d after double Release, want 4 (workers returned twice?)", free)
 	}
-	if _, err := rips.RunContext(context.Background(), rips.NQueens(6), rips.Config{Procs: 2, Backend: rips.Parallel, Pool: sub}); err == nil {
+	if _, err := rips.RunContext(t.Context(), rips.NQueens(6), rips.Config{Procs: 2, Backend: rips.Parallel, Pool: sub}); err == nil {
 		t.Error("run on a released lease succeeded, want a refusal")
 	}
 

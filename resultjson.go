@@ -18,43 +18,33 @@ const ResultJSONSchema = "rips-result/v1"
 // integer nanoseconds with _ns suffixes. Hooks and pools do not
 // serialize — they are process-local wiring, set by the receiving side.
 type ConfigJSON struct {
-	Procs            int     `json:"procs,omitempty"`
-	Rows             int     `json:"rows,omitempty"`
-	Cols             int     `json:"cols,omitempty"`
-	Topology         string  `json:"topology,omitempty"`
-	Algorithm        string  `json:"algorithm,omitempty"`
-	Backend          string  `json:"backend,omitempty"`
-	Domains          int     `json:"domains,omitempty"`
-	Eager            bool    `json:"eager,omitempty"`
-	All              bool    `json:"all,omitempty"`
-	PeriodicNS       int64   `json:"periodic_ns,omitempty"`
-	ExactHypercube   bool    `json:"exact_hypercube,omitempty"`
-	RIDUpdateFactor  float64 `json:"rid_update_factor,omitempty"`
-	InitBackoffNS    int64   `json:"init_backoff_ns,omitempty"`
-	DetectIntervalNS int64   `json:"detect_interval_ns,omitempty"`
-	TimeoutNS        int64   `json:"timeout_ns,omitempty"`
-	Seed             int64   `json:"seed,omitempty"`
+	Procs     int    `json:"procs,omitempty"`
+	Rows      int    `json:"rows,omitempty"`
+	Cols      int    `json:"cols,omitempty"`
+	Topology  string `json:"topology,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	Backend   string `json:"backend,omitempty"`
+	Domains   int    `json:"domains,omitempty"`
+	Eager     bool   `json:"eager,omitempty"`
+	All       bool   `json:"all,omitempty"`
+	TimeoutNS int64  `json:"timeout_ns,omitempty"`
+	Seed      int64  `json:"seed,omitempty"`
 }
 
 // EncodeConfig renders a Config into its wire form.
 func EncodeConfig(cfg Config) ConfigJSON {
 	return ConfigJSON{
-		Procs:            cfg.Procs,
-		Rows:             cfg.Rows,
-		Cols:             cfg.Cols,
-		Topology:         cfg.Topology,
-		Algorithm:        cfg.Algorithm.String(),
-		Backend:          cfg.Backend.String(),
-		Domains:          cfg.Domains,
-		Eager:            cfg.Eager,
-		All:              cfg.All,
-		PeriodicNS:       int64(cfg.Periodic),
-		ExactHypercube:   cfg.ExactHypercube,
-		RIDUpdateFactor:  cfg.RIDUpdateFactor,
-		InitBackoffNS:    int64(cfg.InitBackoff),
-		DetectIntervalNS: int64(cfg.DetectInterval),
-		TimeoutNS:        int64(cfg.Timeout),
-		Seed:             cfg.Seed,
+		Procs:     cfg.Procs,
+		Rows:      cfg.Rows,
+		Cols:      cfg.Cols,
+		Topology:  cfg.Topology,
+		Algorithm: cfg.Algorithm.String(),
+		Backend:   cfg.Backend.String(),
+		Domains:   cfg.Domains,
+		Eager:     cfg.Eager,
+		All:       cfg.All,
+		TimeoutNS: int64(cfg.Timeout),
+		Seed:      cfg.Seed,
 	}
 }
 
@@ -62,23 +52,18 @@ func EncodeConfig(cfg Config) ConfigJSON {
 // strings decode to the zero values (RIPS, Simulate), so a sparse
 // submission like {"procs": 4} is a complete default configuration;
 // unknown enum strings are errors. The result is not validated as a
-// whole — callers run Config.Validate (or NewConfig) next.
+// whole — callers run Config.Validate next.
 func (j ConfigJSON) Decode() (Config, error) {
 	cfg := Config{
-		Procs:           j.Procs,
-		Rows:            j.Rows,
-		Cols:            j.Cols,
-		Topology:        j.Topology,
-		Domains:         j.Domains,
-		Eager:           j.Eager,
-		All:             j.All,
-		Periodic:        Time(j.PeriodicNS),
-		ExactHypercube:  j.ExactHypercube,
-		RIDUpdateFactor: j.RIDUpdateFactor,
-		InitBackoff:     Time(j.InitBackoffNS),
-		DetectInterval:  time.Duration(j.DetectIntervalNS),
-		Timeout:         time.Duration(j.TimeoutNS),
-		Seed:            j.Seed,
+		Procs:    j.Procs,
+		Rows:     j.Rows,
+		Cols:     j.Cols,
+		Topology: j.Topology,
+		Domains:  j.Domains,
+		Eager:    j.Eager,
+		All:      j.All,
+		Timeout:  time.Duration(j.TimeoutNS),
+		Seed:     j.Seed,
 	}
 	if j.Algorithm != "" {
 		a, err := ParseAlgorithm(j.Algorithm)

@@ -18,10 +18,10 @@
 //	res, err := rips.RunContext(ctx, queens, rips.Config{Procs: 32})
 //	fmt.Printf("T=%v eff=%.0f%%\n", res.Time, 100*res.Efficiency)
 //
-// Configs can be assembled with functional options (NewConfig,
-// WithAlgorithm, WithBackend, ...), which validate eagerly; runs can be
-// canceled through the context (the partial Result has Canceled set)
-// and observed phase by phase through Config.OnPhase. Long-lived
+// A Config is a plain struct literal; Config.Validate checks it before
+// any resources are committed (RunContext validates implicitly). Runs
+// can be canceled through the context (the partial Result has Canceled
+// set) and observed phase by phase through Config.OnPhase. Long-lived
 // callers multiplexing many Parallel-backend runs share one worker
 // Pool via Config.Pool — the substrate of the ripsd serving frontend
 // (internal/serve).
@@ -135,10 +135,10 @@ const (
 	// runs the unchanged pure planners over length-prefixed rips-wire/v1
 	// frames, and task moves ship as serialized batches over persistent
 	// TCP connections (internal/cluster). The algorithm is RIPS by
-	// construction; Domains, Pool and Periodic do not apply (Validate
-	// rejects them). A Cluster config is not locally runnable —
-	// RunContext refuses it; submit the job to a ripsd started with
-	// -cluster instead.
+	// construction; Domains and Pool do not apply (Validate rejects
+	// them). A Cluster config is not locally runnable — RunContext
+	// refuses it; submit the job to a ripsd started with -cluster
+	// instead.
 	Cluster
 )
 
@@ -176,31 +176,6 @@ type Config struct {
 	Eager bool
 	// All switches RIPS to the ALL global transfer policy.
 	All bool
-	// Periodic switches RIPS's transfer detection to the naive
-	// periodic global reduction at this interval (0 = event-driven).
-	Periodic Time
-	// ExactHypercube upgrades hypercube machines from incremental
-	// Dimension Exchange system phases to the exact Cube Walking
-	// Algorithm (balance within one task, like MWA on the mesh).
-	ExactHypercube bool
-	// RIDUpdateFactor overrides RID's load-update factor u
-	// (default 0.4, the paper's tuned value).
-	RIDUpdateFactor float64
-	// InitBackoff throttles the simulated ANY detector: a drained node
-	// waits this much virtual time before broadcasting init, so that a
-	// round's initial fan-out does not trigger a storm of nearly-empty
-	// system phases. Negative disables the wait; zero means the
-	// runtime default of 1ms. Simulate backend only.
-	InitBackoff Time
-	// DetectInterval is the real-time analogue of InitBackoff for the
-	// Parallel backend: how long a drained worker waits, at most and
-	// only while some other worker is still busy, before requesting a
-	// transfer. Negative disables the wait; a positive
-	// value is a constant override; zero (the default) adapts the wait
-	// from observed phase yield, starting at the backend base of 100us
-	// and backing off as phases move fewer tasks. Only phase timing
-	// depends on this, never the answer. Parallel backend only.
-	DetectInterval time.Duration
 	// Timeout bounds a run's real elapsed time: when positive,
 	// RunContext derives a deadline that far in the future from its
 	// context, so the run cancels itself at the next phase boundary
@@ -351,18 +326,12 @@ func (c Config) Validate() error {
 		if c.Algorithm != RIPS && c.Algorithm != Steal {
 			return fmt.Errorf("rips: algorithm %v runs only on the Simulate backend", c.Algorithm)
 		}
-		if c.Periodic > 0 {
-			return fmt.Errorf("rips: the periodic detector is not available on the Parallel backend")
-		}
 		if err := c.poolFits(machine); err != nil {
 			return err
 		}
 	case Hybrid:
 		if c.Algorithm != RIPS {
 			return fmt.Errorf("rips: the Hybrid backend embeds its own intra-domain stealing; Algorithm must be RIPS, got %v", c.Algorithm)
-		}
-		if c.Periodic > 0 {
-			return fmt.Errorf("rips: the periodic detector is not available on the Hybrid backend")
 		}
 		if err := c.poolFits(machine); err != nil {
 			return err
@@ -374,9 +343,6 @@ func (c Config) Validate() error {
 		// different process, not a different goroutine.
 		if c.Algorithm != RIPS {
 			return fmt.Errorf("rips: the Cluster backend runs the phase protocol only; Algorithm must be RIPS, got %v", c.Algorithm)
-		}
-		if c.Periodic > 0 {
-			return fmt.Errorf("rips: the periodic detector is not available on the Cluster backend")
 		}
 		if c.Pool != nil {
 			return fmt.Errorf("rips: the Cluster backend runs on cluster nodes, not a local worker pool")
@@ -399,23 +365,6 @@ func (c Config) poolFits(machine topo.Topology) error {
 		return fmt.Errorf("rips: config needs %d workers but the pool has %d", n, c.Pool.Workers())
 	}
 	return nil
-}
-
-// Run executes the workload and returns the paper's metrics. The
-// sequential profile is measured on the fly; use RunProfiled to reuse
-// a Profile across runs.
-//
-// Deprecated: use RunContext, which adds cancellation. Run is
-// equivalent to RunContext with a background context.
-func Run(a App, cfg Config) (Result, error) {
-	return RunContext(context.Background(), a, cfg) //ripslint:allow ctxflow deprecated context-free shim; a background root is its documented contract
-}
-
-// RunProfiled is Run with a pre-computed sequential profile.
-//
-// Deprecated: use RunProfiledContext, which adds cancellation.
-func RunProfiled(a App, p Profile, cfg Config) (Result, error) {
-	return RunProfiledContext(context.Background(), a, p, cfg) //ripslint:allow ctxflow deprecated context-free shim; a background root is its documented contract
 }
 
 // RunContext executes the workload and returns the paper's metrics.
@@ -454,19 +403,13 @@ func RunProfiledContext(ctx context.Context, a App, p Profile, cfg Config) (Resu
 	}
 	switch cfg.Algorithm {
 	case RIPS:
-		rc := ripsrt.Config{Topo: mesh, App: a, Seed: cfg.Seed, InitBackoff: cfg.InitBackoff,
-			Cancel: ctx.Done(), OnPhase: cfg.OnPhase}
+		rc := ripsrt.Config{Topo: mesh, App: a, Seed: cfg.Seed, Cancel: ctx.Done(), OnPhase: cfg.OnPhase}
 		if cfg.Eager {
 			rc.Local = ripsrt.Eager
 		}
 		if cfg.All {
 			rc.Global = ripsrt.All
 		}
-		if cfg.Periodic > 0 {
-			rc.Detector = ripsrt.Periodic
-			rc.Period = cfg.Periodic
-		}
-		rc.ExactCube = cfg.ExactHypercube
 		res, err := ripsrt.Run(rc)
 		if err != nil && !res.Canceled {
 			return Result{}, err
@@ -492,11 +435,7 @@ func RunProfiledContext(ctx context.Context, a App, p Profile, cfg Config) (Resu
 		case Static:
 			dc.Strategy = dynsched.NewStatic()
 		default:
-			params := dynsched.DefaultRIDParams()
-			if cfg.RIDUpdateFactor > 0 {
-				params.U = cfg.RIDUpdateFactor
-			}
-			dc.Strategy = dynsched.NewRID(params)
+			dc.Strategy = dynsched.NewRID(dynsched.DefaultRIDParams())
 		}
 		res, err := dynsched.Run(dc)
 		if err != nil && !res.Canceled {
@@ -530,12 +469,11 @@ func ctxErr(ctx context.Context, fallback error) error {
 // resident workers.
 func runParallel(ctx context.Context, a App, p Profile, cfg Config, machine topo.Topology) (Result, error) {
 	pc := par.Config{
-		Topo:           machine,
-		App:            a,
-		DetectInterval: cfg.DetectInterval,
-		Seed:           cfg.Seed,
-		Cancel:         ctx.Done(),
-		OnPhase:        cfg.OnPhase,
+		Topo:    machine,
+		App:     a,
+		Seed:    cfg.Seed,
+		Cancel:  ctx.Done(),
+		OnPhase: cfg.OnPhase,
 	}
 	if cfg.Backend == Hybrid {
 		pc.Strategy = par.Hybrid

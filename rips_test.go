@@ -11,7 +11,7 @@ func TestRunNQueensAllAlgorithms(t *testing.T) {
 	a := rips.NQueens(10)
 	p := rips.Measure(a)
 	for _, alg := range []rips.Algorithm{rips.RIPS, rips.Random, rips.Gradient, rips.RID} {
-		res, err := rips.RunProfiled(a, p, rips.Config{Procs: 16, Algorithm: alg, Seed: 2})
+		res, err := rips.RunProfiledContext(t.Context(), a, p, rips.Config{Procs: 16, Algorithm: alg, Seed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -37,9 +37,8 @@ func TestRIPSPolicyKnobs(t *testing.T) {
 		{Procs: 8, Eager: true},
 		{Procs: 8, All: true},
 		{Procs: 8, Eager: true, All: true},
-		{Procs: 8, Periodic: 2 * rips.Millisecond},
 	} {
-		res, err := rips.Run(a, cfg)
+		res, err := rips.RunContext(t.Context(), a, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -51,16 +50,16 @@ func TestRIPSPolicyKnobs(t *testing.T) {
 
 func TestExplicitMeshShape(t *testing.T) {
 	a := rips.NQueens(8)
-	if _, err := rips.Run(a, rips.Config{Rows: 2, Cols: 4}); err != nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Rows: 2, Cols: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rips.Run(a, rips.Config{Rows: 2}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Rows: 2}); err == nil {
 		t.Error("half-specified shape accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 16, Algorithm: rips.Algorithm(99)}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 16, Algorithm: rips.Algorithm(99)}); err == nil {
 		t.Error("bad algorithm accepted")
 	}
 }
@@ -115,11 +114,11 @@ func TestBalanceMeshErrors(t *testing.T) {
 func TestRIPSBeatsRandomOnLocality(t *testing.T) {
 	a := rips.NQueens(11)
 	p := rips.Measure(a)
-	rr, err := rips.RunProfiled(a, p, rips.Config{Procs: 16, Algorithm: rips.RIPS})
+	rr, err := rips.RunProfiledContext(t.Context(), a, p, rips.Config{Procs: 16, Algorithm: rips.RIPS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := rips.RunProfiled(a, p, rips.Config{Procs: 16, Algorithm: rips.Random})
+	rnd, err := rips.RunProfiledContext(t.Context(), a, p, rips.Config{Procs: 16, Algorithm: rips.Random})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestAlgorithmStrings(t *testing.T) {
 func TestTopologies(t *testing.T) {
 	a := rips.NQueens(9)
 	for _, topoName := range []string{"mesh", "tree", "hypercube"} {
-		res, err := rips.Run(a, rips.Config{Procs: 16, Topology: topoName, Seed: 2})
+		res, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 16, Topology: topoName, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", topoName, err)
 		}
@@ -166,14 +165,14 @@ func TestTopologies(t *testing.T) {
 			t.Errorf("%s: %+v", topoName, res)
 		}
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 12, Topology: "hypercube"}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 12, Topology: "hypercube"}); err == nil {
 		t.Error("non-power-of-two hypercube accepted")
 	}
-	if _, err := rips.Run(a, rips.Config{Procs: 16, Topology: "torus"}); err == nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 16, Topology: "torus"}); err == nil {
 		t.Error("unknown topology accepted")
 	}
 	// Baselines also run on the alternative machines.
-	if _, err := rips.Run(a, rips.Config{Procs: 15, Topology: "tree", Algorithm: rips.RID}); err != nil {
+	if _, err := rips.RunContext(t.Context(), a, rips.Config{Procs: 15, Topology: "tree", Algorithm: rips.RID}); err != nil {
 		t.Errorf("RID on tree: %v", err)
 	}
 }
